@@ -89,7 +89,8 @@ class EventLoop:
 
     def at(self, when, callback: Callable, *args) -> int:
         """Schedule ``callback(*args)`` at absolute time ``when``."""
-        when = as_rational(when)
+        if type(when) is not Rational:
+            when = as_rational(when)
         if when < self.clock.now():
             raise EngineError(
                 f"cannot schedule into the past: now {self.clock.now()}, "
@@ -164,6 +165,9 @@ class BandwidthLedger:
         self.planned = planned
         self.active = 0
         self.peak_active = 0
+        # factor()'s last value and the active count it was computed for.
+        self._factor = Rational(planned)
+        self._factor_active = 0
 
     def enter(self) -> None:
         self.active += 1
@@ -177,7 +181,10 @@ class BandwidthLedger:
 
     def factor(self) -> Rational:
         """Bandwidth multiplier over the nominal equal share, >= 1."""
-        return Rational(self.planned, max(1, self.active))
+        if self.active != self._factor_active:
+            self._factor_active = self.active
+            self._factor = Rational(self.planned, max(1, self.active))
+        return self._factor
 
     def __repr__(self) -> str:
         return (

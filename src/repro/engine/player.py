@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.composition import MultimediaObject
 from repro.core.interpretation import Interpretation
-from repro.core.rational import Rational, as_rational
+from repro.core.rational import ZERO, Rational, as_rational
 from repro.engine.buffers import simulate_prefetch
 from repro.errors import EngineError, PlaybackAbortError
 from repro.faults.plan import FaultPlan
@@ -86,11 +86,11 @@ class CostModel:
         bandwidth = self.bandwidth
         if bandwidth_factor is not None and bandwidth_factor != 1:
             bandwidth = bandwidth * bandwidth_factor
-        cost = Rational(size) / bandwidth
+        cost = size / bandwidth
         if not contiguous:
             cost += self.seek_time
         if self.decode_rate:
-            cost += Rational(size) / self.decode_rate
+            cost += size / self.decode_rate
         return cost
 
     def cost_breakdown(self, size: int, contiguous: bool,
@@ -106,11 +106,10 @@ class CostModel:
         bandwidth = self.bandwidth
         if bandwidth_factor is not None and bandwidth_factor != 1:
             bandwidth = bandwidth * bandwidth_factor
-        read = Rational(size) / bandwidth
+        read = size / bandwidth
         if not contiguous:
             read += self.seek_time
-        decode = (Rational(size) / self.decode_rate if self.decode_rate
-                  else Rational(0))
+        decode = size / self.decode_rate if self.decode_rate else ZERO
         return read, decode
 
     def replace(self, **overrides) -> "CostModel":
@@ -691,7 +690,7 @@ class Player:
             Rational(total_bytes) / duration if duration > 0 else Rational(0)
         )
         lateness = [
-            max(p - (prefetch.startup_delay + d), Rational(0))
+            max(p - (prefetch.startup_delay + d), ZERO)
             for p, d in zip(production, deadlines)
         ]
         jitter = (max(lateness) - min(lateness)) if lateness else Rational(0)
@@ -868,7 +867,7 @@ class Player:
                 attempt_cost = self.cost_model.element_cost(
                     size, contiguous, bandwidth_factor=factor
                 ) + latency
-                read_part = decode_part = Rational(0)
+                read_part = decode_part = ZERO
             else:
                 read_part, decode_part = self.cost_model.cost_breakdown(
                     size, contiguous, bandwidth_factor=factor
@@ -1006,7 +1005,7 @@ class Player:
             Rational(total_bytes) / duration if duration > 0 else Rational(0)
         )
         lateness = [
-            max(p - (prefetch.startup_delay + d), Rational(0))
+            max(p - (prefetch.startup_delay + d), ZERO)
             for p, d in zip(production, deadlines)
         ]
         delivered_quality = (

@@ -19,6 +19,7 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
@@ -434,6 +435,8 @@ class VodServer:
         batch schedules a repeating scrape on its event loop, sampling
         the registry into the telemetry store and evaluating burn-rate
         alerts mid-serve."""
+        if isinstance(bandwidth, float) and not math.isfinite(bandwidth):
+            raise EngineError(f"bandwidth must be finite, got {bandwidth!r}")
         if bandwidth <= 0:
             raise EngineError("bandwidth must be positive")
         if admission_margin < 1.0:

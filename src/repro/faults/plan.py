@@ -16,7 +16,7 @@ import struct
 from dataclasses import dataclass, replace
 from hashlib import blake2b
 
-from repro.core.rational import Rational, as_rational
+from repro.core.rational import ONE, ZERO, Rational, as_rational
 from repro.errors import EngineError
 
 #: Default page size mirrored from :mod:`repro.blob.pages`; duplicated
@@ -211,13 +211,13 @@ class FaultPlan:
         """Bandwidth multiplier for the ``read_index``-th read."""
         if self.is_degraded(read_index):
             return self.degraded_bandwidth_factor
-        return Rational(1)
+        return ONE
 
     def extra_latency(self, read_index: int) -> Rational:
         """Extra latency charged to the ``read_index``-th read."""
         if self.is_degraded(read_index):
             return self.degraded_latency
-        return Rational(0)
+        return ZERO
 
     # -- geometry + derivation ---------------------------------------------------
 

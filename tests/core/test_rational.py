@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from repro.core.rational import ONE, ZERO, Rational, as_rational
+from repro.errors import RationalConversionError
 
 
 class TestConstruction:
@@ -39,6 +40,15 @@ class TestConstruction:
     def test_from_float_limits_denominator(self):
         value = Rational.from_float(1 / 3)
         assert value == Fraction(1, 3)
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"),
+    ])
+    def test_from_float_non_finite_is_typed(self, value):
+        with pytest.raises(RationalConversionError, match="non-finite"):
+            Rational.from_float(value)
+        with pytest.raises(RationalConversionError, match="non-finite"):
+            as_rational(value)
 
     def test_normalization(self):
         assert Rational(2, 4) == Rational(1, 2)
@@ -115,3 +125,42 @@ class TestHelpers:
 
     def test_hashable_like_fraction(self):
         assert hash(Rational(1, 2)) == hash(Fraction(1, 2))
+
+
+class TestSingleNormalization:
+    """Rational/int arithmetic and comparisons never go through
+    ``Fraction.__new__``: each result is built once, already in lowest
+    terms, instead of by Fraction and then again by a re-wrap."""
+
+    def test_no_fraction_construction(self, monkeypatch):
+        a, b = Rational(30000, 1001), Rational(-7, 6)
+        calls = []
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(cls)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        Rational(1, 2)
+        assert calls, "the counter is not on Fraction.__new__"
+        calls.clear()
+
+        for other in (b, 3, -2):
+            results = [a + other, other + a, a - other, other - a,
+                       a * other, other * a, a / other, other / a]
+            compared = [a == other, a != other, a < other, a <= other,
+                        a > other, a >= other, other < a, other == a]
+            assert all(type(r) is Rational for r in results)
+            assert all(type(c) is bool for c in compared)
+        unary = [-a, +a, abs(b)]
+        assert all(type(r) is Rational for r in unary)
+        assert calls == []
+
+    def test_equal_to_float_only_when_exact(self):
+        assert Rational(1, 2) == 0.5
+        assert hash(Rational(1, 2)) == hash(0.5)
+        assert Rational(1, 3) != 1 / 3
+        assert Fraction(1, 3) != 1 / 3
+        assert not Rational(1, 3) <= 1 / 3
+        assert Rational(1, 3) > 1 / 3

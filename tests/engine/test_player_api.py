@@ -13,7 +13,7 @@ from repro.engine.player import (
     RetryPolicy,
 )
 from repro.engine.recorder import Recorder
-from repro.errors import EngineError
+from repro.errors import EngineError, RationalConversionError
 from repro.media import frames, signals
 from repro.media.objects import audio_object, video_object
 from repro.obs import Observability
@@ -135,6 +135,15 @@ class TestReplaceHelpers:
             RetryPolicy().replace(max_retries=-1)
         with pytest.raises(EngineError):
             AdaptationPolicy(levels=3).replace(min_level=5)
+
+    @pytest.mark.parametrize("field", ["bandwidth", "seek_time",
+                                       "decode_rate"])
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"),
+    ])
+    def test_non_finite_cost_parameters_are_typed(self, field, value):
+        with pytest.raises(RationalConversionError, match="non-finite"):
+            CostModel(**{field: value})
 
 
 class TestReportMetrics:

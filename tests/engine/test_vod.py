@@ -94,6 +94,14 @@ class TestAdmission:
         with pytest.raises(EngineError):
             VodServer(bandwidth=1, admission_margin=0.5)
 
+    @pytest.mark.parametrize("bandwidth", [
+        float("nan"), float("inf"), float("-inf"),
+    ])
+    def test_non_finite_bandwidth_rejected(self, bandwidth):
+        # nan <= 0 is False, so a sign check alone would accept nan.
+        with pytest.raises(EngineError, match="finite"):
+            VodServer(bandwidth=bandwidth)
+
 
 class TestServing:
     def test_admitted_sessions_play_clean(self, server):

@@ -9,7 +9,7 @@ from repro.cache import DerivationCache
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.engine.recorder import Recorder
 from repro.engine.vod import CHECKPOINT_VERSION, VodServer
-from repro.errors import CheckpointError, SimulatedCrash
+from repro.errors import CheckpointError, EngineError, SimulatedCrash
 from repro.faults import CrashInjector, CrashSite, SimulatedMedium
 from repro.media import frames
 from repro.media.objects import video_object
@@ -85,6 +85,26 @@ class TestRestoreFromDict:
         del payload["config"]
         with pytest.raises(CheckpointError):
             VodServer.restore(payload)
+
+    @pytest.mark.parametrize("bandwidth", [
+        float("nan"), float("inf"), float("-inf"),
+    ])
+    def test_non_finite_bandwidth_is_typed_error(self, movie, bandwidth):
+        payload = make_server(movie).checkpoint()
+        payload["config"]["bandwidth"] = bandwidth
+        with pytest.raises(EngineError, match="finite"):
+            VodServer.restore(payload)
+
+    def test_non_finite_bandwidth_from_file_is_typed_error(self, movie):
+        # JSON spells non-finite floats NaN/Infinity and json.loads
+        # accepts them, so a checkpoint file can carry one.
+        payload = make_server(movie).checkpoint()
+        payload["config"]["bandwidth"] = float("nan")
+        fs = SimulatedMedium()
+        with fs.open("/srv/vod.ckpt", "wb") as handle:
+            handle.write(json.dumps(payload).encode("utf-8"))
+        with pytest.raises(EngineError, match="finite"):
+            VodServer.restore("/srv/vod.ckpt", fs=fs)
 
     def test_resume_without_pending_batch_rejected(self, movie):
         restored = VodServer.restore(make_server(movie).checkpoint())
