@@ -15,13 +15,19 @@ Policy, all deterministic:
 * **Benefit** of a cached expansion = the CostModel seconds to redo it,
   estimated as one non-contiguous read of the inputs' bytes plus the
   expanded bytes (decode included when the model charges it).
+* **Ageing**: a logical clock advances on every :meth:`get` (hit or
+  miss) and every :meth:`put`. An entry's *aged density* is its
+  benefit density (benefit per byte) divided by its age, the number of
+  calls since it was last used (1 for the entry the previous call
+  used) — GreedyDual-style: value held but not used decays.
 * **Admission**: an expansion cheaper than ``min_benefit_seconds`` is
   never cached ("real-time feasible — store only the derivation
   object"); one larger than the whole budget never fits; otherwise it
   is admitted only if room can be made by evicting entries of *lower*
-  benefit density (benefit per byte). A newcomer never displaces
-  something more valuable per byte than itself.
-* **Eviction order**: ascending (density, last-use) — the least
+  aged density than the newcomer's density. A just-used entry is not
+  discounted, so a newcomer never displaces it when it is more
+  valuable per byte; a denser entry left unused long enough is.
+* **Eviction order**: ascending (aged density, last-use) — the least
   valuable, least recently used expansion goes first. Pure function of
   the call sequence, so same-seed runs evict identically.
 
@@ -85,6 +91,12 @@ class _Entry:
     last_use: int
 
 
+def _aged_density(entry: _Entry, now: int) -> float:
+    """Benefit density discounted by the calls since the entry's last
+    use (``now`` is later than every ``last_use``)."""
+    return entry.density / (now - entry.last_use)
+
+
 class DerivationCache(Instrumented):
     """Global store for expanded derived media objects, keyed by object id."""
 
@@ -130,12 +142,16 @@ class DerivationCache(Instrumented):
         return self.hits / total if total else 0.0
 
     def keys(self) -> list[str]:
-        """Cached object ids in ascending (density, last-use) eviction
-        order — the next victim first."""
+        """Cached object ids in ascending (aged density, last-use)
+        eviction order as the next call would see it — the next victim
+        first."""
+        return self._victim_order(self._tick + 1)
+
+    def _victim_order(self, now: int) -> list[str]:
         return [
             key for key, _ in sorted(
                 self._entries.items(),
-                key=lambda kv: (kv[1].density, kv[1].last_use),
+                key=lambda kv: (_aged_density(kv[1], now), kv[1].last_use),
             )
         ]
 
@@ -207,6 +223,7 @@ class DerivationCache(Instrumented):
     def get(self, derived: DerivedMediaObject) -> MediaObject | None:
         """The cached expansion of ``derived``, or None; a hit renews
         recency."""
+        self._tick += 1
         entry = self._entries.get(self._key(derived))
         metrics = self._obs.metrics
         if entry is None:
@@ -216,7 +233,6 @@ class DerivationCache(Instrumented):
             )
         else:
             self.hits += 1
-            self._tick += 1
             entry.last_use = self._tick
             metrics.counter("cache.derivation.hits").inc(
                 derivation=self._kind(derived)
@@ -227,11 +243,11 @@ class DerivationCache(Instrumented):
     def put(self, derived: DerivedMediaObject,
             expanded: MediaObject) -> bool:
         """Offer an expansion for admission; returns True when cached."""
+        self._tick += 1
         key = self._key(derived)
         kind = self._kind(derived)
         existing = self._entries.get(key)
         if existing is not None:
-            self._tick += 1
             existing.expanded = expanded
             existing.last_use = self._tick
             return True
@@ -249,7 +265,6 @@ class DerivationCache(Instrumented):
             return self._reject(kind, "low_value")
         for victim in victims:
             self._evict(victim)
-        self._tick += 1
         self._entries[key] = _Entry(
             expanded=expanded, size=size, benefit_seconds=benefit,
             density=density, last_use=self._tick,
@@ -302,16 +317,18 @@ class DerivationCache(Instrumented):
 
     def _plan_evictions(self, need: int, density: float) -> list[str] | None:
         """Victims (in eviction order) freeing room for ``need`` bytes,
-        or None when doing so would displace a more valuable entry."""
+        or None when doing so would displace an entry whose aged density
+        exceeds ``density``."""
         if self._occupancy + need <= self.budget_bytes:
             return []
         victims: list[str] = []
         freed = 0
-        for key in self.keys():
+        now = self._tick
+        for key in self._victim_order(now):
             if self._occupancy - freed + need <= self.budget_bytes:
                 break
             entry = self._entries[key]
-            if entry.density > density:
+            if _aged_density(entry, now) > density:
                 return None
             victims.append(key)
             freed += entry.size

@@ -270,13 +270,16 @@ class Interpretation(Instrumented):
         name: str,
         read_payloads: bool = True,
         decode: Callable[[bytes, PlacementEntry], object] | None = None,
+        rows: Sequence[PlacementEntry] | None = None,
     ) -> TimedStream:
         """Turn a placement table into a timed stream.
 
         With ``read_payloads`` each element's payload is the placed byte
         span (optionally passed through ``decode``); without it the
         elements carry placement sizes but no data — enough for timing
-        queries and scheduling without touching the BLOB.
+        queries and scheduling without touching the BLOB. ``rows``
+        restricts the stream to those rows of the table (in time
+        order), so a caller needing a range reads only that range.
         """
         sequence = self.sequence(name)
         with self._obs.tracer.span(
@@ -284,7 +287,7 @@ class Interpretation(Instrumented):
         ) as span:
             tuples = []
             bytes_read = 0
-            for e in sequence:
+            for e in sequence if rows is None else rows:
                 payload = None
                 if read_payloads:
                     raw = self.blob.read(e.blob_offset, e.size)

@@ -19,10 +19,11 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Any
 
+from repro.core import stream_ops
 from repro.core.descriptors import MediaDescriptor
 from repro.core.media_types import MediaKind, MediaType
 from repro.core.streams import TimedStream
-from repro.errors import MediaModelError
+from repro.errors import MediaModelError, StreamError
 from repro.obs.instrument import Instrumented
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -69,6 +70,32 @@ class MediaObject:
             f"{type(self).__name__} {self.name!r} has no timed stream"
         )
 
+    def stream_range(self, start: int, stop: int, *,
+                     elements: bool = False) -> TimedStream:
+        """The part of :meth:`stream` within ``[start, stop)``.
+
+        By default ``start``/``stop`` are ticks and the result holds the
+        tuples lying entirely within them (:func:`stream_ops.select_range`
+        without rebasing); with ``elements`` they are element positions.
+        Tuples keep their own start times. Derivations that use only part
+        of an input ask for that part, so subclasses that can read a
+        range without producing the whole stream (placement tables)
+        override this.
+
+        Raises
+        ------
+        StreamError
+            If ``start`` is negative or after ``stop``, or ``stop``
+            lies past the stream's end tick (with ``elements``, past
+            its length).
+        """
+        stream = self.stream()
+        extent = len(stream) if elements else stream.end
+        _check_range(self.name, start, stop, extent, elements)
+        if elements:
+            return stream[start:stop]
+        return stream_ops.select_range(stream, start, stop, rebase=False)
+
     def value(self) -> Any:
         """The object's value (still kinds only)."""
         raise MediaModelError(f"{type(self).__name__} {self.name!r} has no value")
@@ -78,6 +105,19 @@ class MediaObject:
         return (
             f"{type(self).__name__}({self.name!r}, "
             f"{self.media_type.name}{derived})"
+        )
+
+
+def _check_range(name: str, start: int, stop: int, extent: int,
+                 elements: bool) -> None:
+    unit = "elements" if elements else "ticks"
+    if not 0 <= start <= stop:
+        raise StreamError(
+            f"{name!r}: bad range [{start}, {stop}) of {unit}"
+        )
+    if stop > extent:
+        raise StreamError(
+            f"{name!r}: range [{start}, {stop}) exceeds its {extent} {unit}"
         )
 
 
@@ -152,6 +192,28 @@ class InterpretedMediaObject(MediaObject):
     def stream(self) -> TimedStream:
         return self.interpretation.materialize(
             self.sequence_name, decode=self.decode
+        )
+
+    def stream_range(self, start: int, stop: int, *,
+                     elements: bool = False) -> TimedStream:
+        """Read and decode only the placement rows in ``[start, stop)``.
+
+        Equal element for element to the base class's selection from
+        the full :meth:`stream`: the placement table says which rows
+        are in range without touching the BLOB.
+        """
+        rows = self.interpretation.sequence(self.sequence_name).entries
+        if elements:
+            extent, selected = len(rows), rows[start:stop]
+        else:
+            extent = max((e.end for e in rows), default=0)
+            selected = tuple(
+                e for e in rows
+                if stream_ops.within(e.start, e.duration, start, stop)
+            )
+        _check_range(self.name, start, stop, extent, elements)
+        return self.interpretation.materialize(
+            self.sequence_name, decode=self.decode, rows=selected
         )
 
     def stream_lazy(self) -> TimedStream:

@@ -61,6 +61,15 @@ def scale(stream: TimedStream, factor) -> TimedStream:
     )
 
 
+def within(start: int, duration: int, start_tick: int, end_tick: int) -> bool:
+    """Whether a tuple at ``start`` lasting ``duration`` ticks lies
+    entirely within ``[start_tick, end_tick)`` (an instant must start
+    inside it) — :func:`select_range`'s membership rule."""
+    if start < start_tick:
+        return False
+    return start + duration <= end_tick if duration else start < end_tick
+
+
 def select_range(
     stream: TimedStream,
     start_tick: int,
@@ -75,8 +84,7 @@ def select_range(
     if end_tick < start_tick:
         raise StreamError(f"empty range: [{start_tick}, {end_tick})")
     kept = [
-        t for t in stream
-        if t.start >= start_tick and (t.end <= end_tick if t.duration else t.start < end_tick)
+        t for t in stream if within(t.start, t.duration, start_tick, end_tick)
     ]
     if rebase:
         kept = [TimedTuple(t.element, t.start - start_tick, t.duration) for t in kept]

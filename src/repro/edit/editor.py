@@ -63,7 +63,12 @@ class MediaEditor:
     def transition(self, a: MediaObject, b: MediaObject, duration_ticks: int,
                    kind: str = "fade", a_start: int = 0, b_start: int = 0,
                    name: str | None = None) -> DerivedMediaObject:
-        """A fade/wipe/iris between two videos (Table 1's video transition)."""
+        """A fade/wipe/iris between two videos (Table 1's video transition).
+
+        The result has one frame per tick; frame ``i`` mixes the source
+        frames at positions ``a_start + i`` and ``b_start + i`` (for
+        unit-duration sources starting at tick 0, position = tick).
+        """
         return self._derive("video-transition", [a, b], {
             "duration_ticks": duration_ticks, "kind": kind,
             "a_start": a_start, "b_start": b_start,

@@ -24,7 +24,7 @@ from repro.core.derivation import (
 )
 from repro.core.media_object import MediaObject, StreamMediaObject
 from repro.core.media_types import MediaKind
-from repro.errors import DerivationError
+from repro.errors import DerivationError, StreamError
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,26 +82,35 @@ class EditDecisionList:
 
 def apply_edl(sources: Sequence[MediaObject],
               edl: EditDecisionList) -> "StreamMediaObject":
-    """Materialize an edit: select and concatenate the chosen ranges."""
+    """Materialize an edit: select and concatenate the chosen ranges.
+
+    Each source is read once, for the hull of its decisions
+    (:meth:`~repro.core.media_object.MediaObject.stream_range`): a
+    BLOB-backed source decodes only the frames the edit can use, and a
+    derived source referenced by several decisions is expanded once.
+    """
     if not sources:
         raise DerivationError("an edit needs at least one source")
-    streams = [obj.stream() for obj in sources]
-    pieces = []
+    hulls: dict[int, tuple[int, int]] = {}
     for decision in edl:
-        if decision.source_index >= len(sources):
+        index = decision.source_index
+        if index >= len(sources):
             raise DerivationError(
-                f"edit references source {decision.source_index}, "
-                f"only {len(sources)} given"
+                f"edit references source {index}, only {len(sources)} given"
             )
-        stream = streams[decision.source_index]
-        if decision.out_tick > stream.end:
-            raise DerivationError(
-                f"selection [{decision.in_tick}, {decision.out_tick}) "
-                f"exceeds source span {stream.end}"
-            )
-        pieces.append(
-            stream_ops.select_range(stream, decision.in_tick, decision.out_tick)
-        )
+        lo, hi = hulls.get(index, (decision.in_tick, decision.out_tick))
+        hulls[index] = (min(lo, decision.in_tick), max(hi, decision.out_tick))
+    windows = {}
+    for index, (lo, hi) in hulls.items():
+        try:
+            windows[index] = sources[index].stream_range(lo, hi)
+        except StreamError as exc:
+            raise DerivationError(f"edit selection: {exc}") from exc
+    pieces = [
+        stream_ops.select_range(windows[decision.source_index],
+                                decision.in_tick, decision.out_tick)
+        for decision in edl
+    ]
     edited = stream_ops.concat(*pieces)
     first = sources[0]
     system = edited.time_system

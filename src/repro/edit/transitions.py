@@ -27,7 +27,7 @@ from repro.core.derivation import (
     derivation_registry,
 )
 from repro.core.media_types import MediaKind
-from repro.errors import DerivationError
+from repro.errors import DerivationError, StreamError
 
 TRANSITION_KINDS = ("fade", "wipe-left", "wipe-right", "wipe-down", "iris")
 
@@ -118,22 +118,23 @@ def _expand_video_transition(inputs, params):
     if duration <= 0:
         raise DerivationError("transition duration must be positive")
 
-    a_stream = a_obj.stream()
-    b_stream = b_obj.stream()
-    if a_start + duration > a_stream.end or b_start + duration > b_stream.end:
+    # Frame i mixes the elements at positions a_start + i and
+    # b_start + i; only those two windows are read.
+    try:
+        a_window = a_obj.stream_range(a_start, a_start + duration,
+                                      elements=True)
+        b_window = b_obj.stream_range(b_start, b_start + duration,
+                                      elements=True)
+    except StreamError as exc:
         raise DerivationError(
-            "transition span exceeds a source: "
-            f"needs {duration} ticks from a@{a_start} (have {a_stream.end}) "
-            f"and b@{b_start} (have {b_stream.end})"
-        )
+            f"transition needs {duration} frames from a@{a_start} and "
+            f"b@{b_start}: {exc}"
+        ) from exc
     frames = []
-    a_tuples = a_stream.tuples
-    b_tuples = b_stream.tuples
-    for i in range(duration):
+    for i, (a_tuple, b_tuple) in enumerate(zip(a_window, b_window)):
         progress = i / max(duration - 1, 1)
-        a_frame = a_tuples[a_start + i].element.payload
-        b_frame = b_tuples[b_start + i].element.payload
-        frames.append(transition_frame(kind, a_frame, b_frame, progress))
+        frames.append(transition_frame(kind, a_tuple.element.payload,
+                                       b_tuple.element.payload, progress))
 
     from repro.media.objects import video_object
 

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.composition import MultimediaObject
 from repro.core.interpretation import Interpretation
+from repro.core.media_object import InterpretedMediaObject
 from repro.core.rational import ZERO, Rational, as_rational
 from repro.engine.buffers import simulate_prefetch
 from repro.errors import EngineError, PlaybackAbortError
@@ -504,11 +505,12 @@ class Player:
         The static plan check (:meth:`verify_plan`) runs first, before
         any expansion or page read. Components are then flattened to
         leaf media objects; each leaf's stream supplies element sizes
-        and timing, shifted by its composition offset. Leaves without
-        in-memory streams (derived, unexpanded) are expanded via their
-        normal access path — or through the player's
-        :class:`DerivationCache` when one is attached, so replanning
-        the same composition is a cache hit.
+        and timing, shifted by its composition offset. BLOB-backed
+        leaves are planned from their placement tables, reading no
+        payloads. Leaves without in-memory streams (derived,
+        unexpanded) are expanded via their normal access path — or
+        through the player's :class:`DerivationCache` when one is
+        attached, so replanning the same composition is a cache hit.
         """
         self.verify_plan(multimedia)
         instrumented = self.obs.enabled
@@ -523,7 +525,9 @@ class Player:
                 stream = self.derivation_cache.materialize(obj).stream()
             else:
                 cached = obj.is_derived and obj.is_materialized
-                stream = obj.stream()
+                stream = (obj.stream_lazy()
+                          if isinstance(obj, InterpretedMediaObject)
+                          else obj.stream())
             if stage_hist is not None:
                 # Composition itself is pointer arithmetic (§5): count
                 # the component, charge zero simulated time.

@@ -165,6 +165,68 @@ class TestAdmission:
         assert len(cache) == 0 and cache.occupancy_bytes == 0
 
 
+class TestAgeing:
+    """Every get and put advances the clock; an unused incumbent's
+    density is discounted by the calls since its last use."""
+
+    @staticmethod
+    def pair():
+        # Dense: density 9900/1000/900 = 0.011 per byte; sparse: 0.00111.
+        dense = derive([clip(9000)], clip(900), name="dense")
+        sparse = derive([clip(100)], clip(900), name="sparse")
+        return dense, sparse
+
+    def test_every_call_advances_the_clock(self):
+        cache = DerivationCache(budget_bytes=10_000, cost_model=LINEAR)
+        dense, sparse = self.pair()
+        cache.get(sparse)  # miss
+        cache.put(dense, clip(900))
+        cache.get(dense)  # hit
+        cache.put(sparse, clip(900))
+        ticks = {entry["key"]: entry["last_use"]
+                 for entry in cache.manifest()["entries"]}
+        assert ticks == {dense.object_id: 3, sparse.object_id: 4}
+
+    def test_unused_dense_entry_displaced_by_fresh_sparser_newcomer(self):
+        cache = DerivationCache(budget_bytes=1000, cost_model=LINEAR)
+        dense, sparse = self.pair()
+        assert cache.put(dense, clip(900))
+        # Ten lookups of other objects: the dense entry's aged density
+        # falls below the newcomer's.
+        for i in range(10):
+            assert cache.get(derive([clip(1)], clip(1), name=f"o{i}")) is None
+        assert cache.put(sparse, clip(900))
+        assert sparse in cache and dense not in cache
+        assert cache.evictions == 1 and cache.rejections == 0
+
+    def test_just_used_dense_entry_not_displaced(self):
+        cache = DerivationCache(budget_bytes=1000, cost_model=LINEAR)
+        # Only ~11% denser than the newcomer: no discount at all may
+        # apply to the entry the previous call used.
+        dense = derive([clip(1100)], clip(900), name="dense")
+        sparse = derive([clip(900)], clip(900), name="sparse")
+        assert cache.put(dense, clip(900))
+        for i in range(10):
+            cache.get(derive([clip(1)], clip(1), name=f"o{i}"))
+        assert cache.get(dense) is not None
+        assert not cache.put(sparse, clip(900))
+        assert dense in cache and sparse not in cache
+
+    def test_slightly_smaller_title_does_not_lock_out_the_rest(self):
+        """Preview-shaped sequence (miss, put, hit per title) over
+        titles of alternating size: the first smaller, denser title no
+        longer refuses every later one."""
+        cache = DerivationCache(budget_bytes=1500, cost_model=CostModel(
+            bandwidth=1000, seek_time=0.5))
+        for i, size in enumerate((900, 1000, 900, 1000)):
+            title = derive([clip(100)], clip(size), name=f"t{i}")
+            assert cache.get(title) is None
+            assert cache.put(title, clip(size))
+            assert cache.get(title) is not None
+        assert cache.hit_ratio == 0.5
+        assert cache.rejections == 0
+
+
 class TestMetrics:
     def test_hit_miss_admission_counters(self):
         obs = Observability()

@@ -1,6 +1,8 @@
 """Tests for BLOB interpretation (Definition 5)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blob.blob import MemoryBlob
 from repro.core.interpretation import (
@@ -255,3 +257,108 @@ class TestValidation:
         _, interp = blob_and_interpretation
         text = interp.describe()
         assert "video1" in text and "audio1" in text
+
+
+class TestRangeReads:
+    """``InterpretedMediaObject.stream_range`` reads only the rows in
+    range and equals the base class's selection from the full stream."""
+
+    @staticmethod
+    def counting(interp, name):
+        from repro.core.media_object import InterpretedMediaObject
+
+        decoded = []
+
+        def decode(raw, entry):
+            decoded.append(entry.element_number)
+            return raw
+
+        return InterpretedMediaObject(interp, name, decode=decode), decoded
+
+    def test_tick_range_decodes_only_rows_in_range(
+            self, blob_and_interpretation):
+        from repro.core.media_object import MediaObject
+
+        _, interp = blob_and_interpretation
+        obj, decoded = self.counting(interp, "video1")
+        window = obj.stream_range(1, 3)
+        assert decoded == [1, 2]
+        decoded.clear()
+        assert window == MediaObject.stream_range(obj, 1, 3)
+        assert decoded == [0, 1, 2, 3]
+
+    def test_element_range(self, blob_and_interpretation):
+        _, interp = blob_and_interpretation
+        obj, decoded = self.counting(interp, "audio1")
+        window = obj.stream_range(2, 4, elements=True)
+        assert decoded == [2, 3]
+        assert window == obj.stream()[2:4]
+        assert window.start == 2 * 1764  # not rebased
+
+    def test_range_past_end_rejected(self, blob_and_interpretation):
+        from repro.errors import StreamError
+
+        _, interp = blob_and_interpretation
+        obj, decoded = self.counting(interp, "video1")
+        with pytest.raises(StreamError, match="exceeds"):
+            obj.stream_range(2, 5)
+        with pytest.raises(StreamError, match="exceeds"):
+            obj.stream_range(3, 5, elements=True)
+        with pytest.raises(StreamError):
+            obj.stream_range(3, 2)
+        assert decoded == []
+
+    def test_materialize_rows_counts_only_their_bytes(
+            self, blob_and_interpretation):
+        from repro.obs import Observability
+
+        _, interp = blob_and_interpretation
+        obs = Observability()
+        interp.instrument(obs)
+        rows = interp.sequence("video1").entries[1:3]
+        stream = interp.materialize("video1", rows=rows)
+        assert [t.start for t in stream] == [1, 2]
+        assert obs.metrics.counter(
+            "core.interpretation.bytes_read").total() == 11 + 12
+
+    @given(
+        rows=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                      min_size=1, max_size=12),
+        lo=st.integers(0, 30), width=st.integers(0, 30),
+        elements=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_full_stream_selection(self, rows, lo, width, elements):
+        """Gaps, overlaps, instants and straddling rows included."""
+        from repro.core.media_object import (
+            InterpretedMediaObject,
+            MediaObject,
+        )
+        from repro.errors import StreamError
+
+        video_type = media_type_registry.get("pal-video")
+        blob = MemoryBlob()
+        entries, start = [], 0
+        for number, (gap, duration) in enumerate(rows):
+            start += gap
+            offset = blob.append(bytes([number]) * 3)
+            entries.append(PlacementEntry(
+                element_number=number, start=start, duration=duration,
+                size=3, blob_offset=offset,
+            ))
+        interp = Interpretation(blob, "random")
+        interp.add("v", video_type, video_type.make_media_descriptor(
+            frame_rate=25, frame_width=8, frame_height=8, frame_depth=24,
+            color_model="RGB",
+        ), entries)
+        obj = InterpretedMediaObject(interp, "v")
+        hi = lo + width
+
+        def outcome(read):
+            try:
+                return read(obj, lo, hi, elements=elements)
+            except StreamError as exc:
+                return type(exc)
+
+        assert outcome(InterpretedMediaObject.stream_range) == \
+            outcome(MediaObject.stream_range)

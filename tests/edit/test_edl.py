@@ -1,5 +1,6 @@
 """Tests for edit decision lists (the 'video edit' derivation)."""
 
+import numpy as np
 import pytest
 
 from repro.core.derivation import derivation_registry
@@ -74,6 +75,24 @@ class TestApplyEdl:
     def test_repeated_material(self, source_a):
         edl = EditDecisionList().select(0, 0, 5).select(0, 0, 5)
         assert len(apply_edl([source_a], edl).stream()) == 10
+
+    def test_each_source_read_once_for_its_hull(self, source_a):
+        """A derived source used by two decisions is expanded once, and
+        the edit equals selecting each decision from the full stream."""
+        from repro.edit import MediaEditor
+        from repro.obs import Observability
+
+        obs = Observability()
+        reversed_a = MediaEditor().reverse(source_a)
+        reversed_a.instrument(obs)
+        edl = EditDecisionList().select(0, 12, 16).select(0, 2, 5)
+        edited = apply_edl([reversed_a], edl).stream()
+        assert obs.metrics.counter("core.derivation.expansions").total() == 1
+        full = reversed_a.stream()
+        expected = (*full.tuples[12:16], *full.tuples[2:5])
+        assert len(edited) == len(expected)
+        for got, want in zip(edited, expected):
+            assert np.array_equal(got.element.payload, want.element.payload)
 
     def test_selection_beyond_source_rejected(self, source_a):
         edl = EditDecisionList().select(0, 15, 30)

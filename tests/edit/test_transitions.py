@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.derivation import derivation_registry
+from repro.edit import MediaEditor
 from repro.edit.transitions import (
     chroma_key,
     fade_frames,
@@ -144,3 +145,43 @@ class TestTransitionDerivation:
         derived = derivation([a, b], {"tolerance": 10.0})
         expanded = derived.expand()
         assert len(expanded.stream()) == 12
+
+
+class TestTransitionBounds:
+    """The bound check counts source elements, as the frame indexing
+    does, so re-timed sources fail with a typed error, not IndexError."""
+
+    @pytest.fixture
+    def clips(self):
+        a = video_object(frames.scene(16, 16, 10, "orbit", seed=1), "a")
+        b = video_object(frames.scene(16, 16, 10, "pan", seed=2), "b")
+        return a, b
+
+    def test_time_scaled_source_rejected(self, clips):
+        a, b = clips
+        editor = MediaEditor()
+        fade = editor.transition(editor.scale(a, 2), b, 5, a_start=8)
+        with pytest.raises(DerivationError, match="exceeds"):
+            fade.stream()
+
+    def test_translated_source_rejected(self, clips):
+        a, b = clips
+        editor = MediaEditor()
+        fade = editor.transition(a, editor.translate(b, 3), 4, b_start=9)
+        with pytest.raises(DerivationError, match="exceeds"):
+            fade.stream()
+
+    def test_frames_taken_by_position(self, clips):
+        a, b = clips
+        editor = MediaEditor()
+        moved = editor.translate(b, 3)
+        fade = editor.transition(a, moved, 4, b_start=6).stream()
+        last = fade.tuples[-1].element.payload
+        assert np.array_equal(last, b.stream().tuples[9].element.payload)
+
+    def test_negative_start_rejected(self, clips):
+        a, b = clips
+        derivation = derivation_registry.get("video-transition")
+        derived = derivation([a, b], {"duration_ticks": 2, "a_start": -1})
+        with pytest.raises(DerivationError):
+            derived.expand()

@@ -9,14 +9,21 @@ Two invariants carry the whole design:
 * **Determinism** — the pool's eviction order, hit counts and final
   contents are a pure function of the operation sequence, so two
   identical runs agree exactly (the obs determinism contract depends
-  on this).
+  on this). The same holds for the derivation cache's ageing
+  admission policy.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blob.pages import MemoryPager, PageStore
-from repro.cache import BufferPool
+from repro.cache import BufferPool, DerivationCache
+from repro.core.derivation import Derivation, DerivationCategory
+from repro.core.elements import MediaElement
+from repro.core.media_object import StreamMediaObject
+from repro.core.media_types import MediaKind, media_type_registry
+from repro.core.streams import TimedStream
+from repro.engine.player import CostModel
 from repro.errors import BlobError
 
 
@@ -102,3 +109,77 @@ class TestPoolDeterminism:
                     [pool.get(p) for p in pool.pages()])
 
         assert final_state() == final_state()
+
+
+VIDEO = media_type_registry.get("pal-video")
+
+
+def _clip(size: int) -> StreamMediaObject:
+    stream = TimedStream.from_elements(
+        VIDEO, [MediaElement(payload=0, size=size)]
+    )
+    descriptor = VIDEO.make_media_descriptor(
+        frame_rate=25, frame_width=8, frame_height=8, frame_depth=24,
+        color_model="RGB",
+    )
+    return StreamMediaObject(VIDEO, descriptor, stream)
+
+
+def _derived(input_bytes: int, expanded: StreamMediaObject):
+    derivation = Derivation(
+        name="prop", category=DerivationCategory.CHANGE_OF_CONTENT,
+        input_kinds=(MediaKind.VIDEO,), result_kind=MediaKind.VIDEO,
+        expand=lambda objs, params: expanded,
+        describe=lambda objs, params: (objs[0].media_type,
+                                       objs[0].descriptor),
+    )
+    return derivation([_clip(input_bytes)])
+
+
+#: Derived objects as (input bytes, expanded bytes). Sizes close to
+#: the budget force evictions; densities differ by small factors, so
+#: the age discount decides admissions.
+shapes = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=1500),
+              st.integers(min_value=200, max_value=600)),
+    min_size=2, max_size=5,
+)
+cache_ops = st.lists(
+    st.tuples(st.sampled_from(["get", "put"]),
+              st.integers(min_value=0, max_value=5)),
+    min_size=1, max_size=40,
+)
+
+
+class TestDerivationCacheAgeing:
+    @given(shapes=shapes, ops=cache_ops,
+           budget=st.integers(min_value=400, max_value=1500))
+    @settings(max_examples=80, deadline=None)
+    def test_budget_determinism_and_just_used_protection(
+            self, shapes, ops, budget):
+        model = CostModel(bandwidth=1000, seek_time=0.01)
+        objects = [(_derived(inputs, _clip(size)), _clip(size))
+                   for inputs, size in shapes]
+        probe = DerivationCache(cost_model=model)
+        density = [probe.benefit_seconds(derived, size) / size
+                   for (derived, _), (_, size) in zip(objects, shapes)]
+
+        def run():
+            cache = DerivationCache(budget_bytes=budget, cost_model=model)
+            just_used = None  # index of the entry the last call used
+            for kind, index in ops:
+                index %= len(objects)
+                derived, expanded = objects[index]
+                if kind == "get":
+                    hit = cache.get(derived) is not None
+                    just_used = index if hit else None
+                    continue
+                admitted = cache.put(derived, expanded)
+                if just_used is not None and \
+                        density[just_used] > density[index]:
+                    assert objects[just_used][0] in cache
+                just_used = index if admitted else None
+                assert cache.occupancy_bytes <= cache.budget_bytes
+            return cache.manifest(), cache.keys()
+
+        assert run() == run()
