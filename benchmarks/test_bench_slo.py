@@ -16,7 +16,7 @@ import time
 from test_bench_figure5_pipeline import build_stack
 
 from repro.engine import CostModel, Player
-from repro.engine.vod import VodServer
+from repro.engine.vod import ServeOptions, SessionRequest, VodServer
 from repro.obs import Observability, profile_stages, worst_verdicts
 
 #: min-of-N repetitions for the overhead measurement.
@@ -26,8 +26,13 @@ TIMING_ROUNDS = 5
 def serve_feature(interpretation, bandwidth, obs):
     server = VodServer(bandwidth=bandwidth, prefetch_depth=8, obs=obs)
     server.publish("feature", interpretation)
-    server.serve([("c0", "feature"), ("c1", "feature")],
-                 enforce_admission=False)
+    server.serve(
+        [
+            SessionRequest(client="c0", title="feature"),
+            SessionRequest(client="c1", title="feature"),
+        ],
+        ServeOptions(enforce_admission=False),
+    )
     return server
 
 

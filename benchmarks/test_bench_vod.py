@@ -12,7 +12,7 @@ import pytest
 from repro.blob.blob import MemoryBlob
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.engine.recorder import Recorder
-from repro.engine.vod import VodServer
+from repro.engine.vod import ServeOptions, SessionRequest, VodServer
 from repro.media import frames
 from repro.media.objects import video_object
 
@@ -35,9 +35,11 @@ def test_vod_capacity_sweep(report, benchmark, movie):
     sweep = sorted({1, capacity // 2 or 1, capacity, capacity * 2,
                     capacity * 4})
     for clients in sweep:
-        requests = [(f"c{i}", "feature") for i in range(clients)]
-        uncontrolled = server.serve(requests, enforce_admission=False)
-        controlled = server.serve(requests, enforce_admission=True)
+        requests = [SessionRequest(client=f"c{i}", title="feature")
+                    for i in range(clients)]
+        uncontrolled = server.serve(requests,
+                                    ServeOptions(enforce_admission=False))
+        controlled = server.serve(requests, ServeOptions())
         rows.append((
             clients,
             f"{uncontrolled.underrun_sessions()}/{clients}",
@@ -56,13 +58,15 @@ def test_vod_capacity_sweep(report, benchmark, movie):
 
     # Shape claims: beyond capacity, uncontrolled service degrades while
     # admission keeps every served session clean.
-    over = [(f"c{i}", "feature") for i in range(capacity * 4)]
-    uncontrolled = server.serve(over, enforce_admission=False)
-    controlled = server.serve(over, enforce_admission=True)
+    over = [SessionRequest(client=f"c{i}", title="feature")
+            for i in range(capacity * 4)]
+    uncontrolled = server.serve(over, ServeOptions(enforce_admission=False))
+    controlled = server.serve(over, ServeOptions(enforce_admission=True))
     assert uncontrolled.underrun_sessions() > 0
     assert controlled.underrun_sessions() == 0
     assert controlled.admitted_count == capacity
 
     benchmark(lambda: server.serve(
-        [(f"c{i}", "feature") for i in range(capacity)],
+        [SessionRequest(client=f"c{i}", title="feature")
+         for i in range(capacity)],
     ))

@@ -24,7 +24,7 @@ import os
 import tempfile
 
 from repro.engine import Recorder, RetryPolicy
-from repro.engine.vod import VodServer
+from repro.engine.vod import ServeOptions, SessionRequest, VodServer
 from repro.blob import MemoryBlob
 from repro.faults import FaultPlan
 from repro.media import frames
@@ -48,9 +48,12 @@ def main() -> None:
     server = VodServer(bandwidth=15_000, prefetch_depth=8, obs=obs)
     server.publish("feature", movie)
     server.serve(
-        [(f"client-{i}", "feature") for i in range(3)],
-        enforce_admission=False, fault_plan=plan,
-        retry_policy=RetryPolicy(max_retries=3, abort_skip_fraction=0.5),
+        [SessionRequest(client=f"client-{i}", title="feature")
+         for i in range(3)],
+        ServeOptions(
+            enforce_admission=False, fault_plan=plan,
+            retry_policy=RetryPolicy(max_retries=3, abort_skip_fraction=0.5),
+        ),
     )
 
     # -- 2. One call: is serving healthy, and if not, why? ----------------
@@ -84,9 +87,12 @@ def main() -> None:
     server2 = VodServer(bandwidth=15_000, prefetch_depth=8, obs=obs2)
     server2.publish("feature", movie)
     server2.serve(
-        [(f"client-{i}", "feature") for i in range(3)],
-        enforce_admission=False, fault_plan=plan,
-        retry_policy=RetryPolicy(max_retries=3, abort_skip_fraction=0.5),
+        [SessionRequest(client=f"client-{i}", title="feature")
+         for i in range(3)],
+        ServeOptions(
+            enforce_admission=False, fault_plan=plan,
+            retry_policy=RetryPolicy(max_retries=3, abort_skip_fraction=0.5),
+        ),
     )
     identical = (to_chrome_trace(obs2) == trace
                  and obs2.events.export() == recorder.export())

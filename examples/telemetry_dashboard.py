@@ -22,7 +22,7 @@ from repro.blob import MemoryBlob
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.core.rational import Rational
 from repro.engine import Recorder
-from repro.engine.vod import SessionRequest, VodServer
+from repro.engine.vod import ServeOptions, SessionRequest, VodServer
 from repro.media import frames
 from repro.media.objects import video_object
 from repro.obs import Observability
@@ -51,9 +51,7 @@ def main() -> None:
     server.serve(
         [SessionRequest(client=f"client-{i}", title="feature",
                         arrival_time=Rational(i, 8))
-         for i in range(6)],
-        enforce_admission=False,
-    )
+         for i in range(6)], ServeOptions(enforce_admission=False))
 
     # -- 2. The alert lifecycle, as health() saw it mid-serve -------------
     print("alert transitions observed mid-serve:")
@@ -83,9 +81,7 @@ def main() -> None:
     server2.serve(
         [SessionRequest(client=f"client-{i}", title="feature",
                         arrival_time=Rational(i, 8))
-         for i in range(6)],
-        enforce_admission=False,
-    )
+         for i in range(6)], ServeOptions(enforce_admission=False))
     identical = (telemetry2.store.dump() == store.dump()
                  and telemetry2.store.alert_rows() == store.alert_rows())
     print(f"\nsame-seed rerun reproduces store and alert log: {identical}")

@@ -48,7 +48,6 @@ from repro.engine.vod import (
     Session,
     SessionRequest,
     VodServer,
-    _UNSET,
     normalize_requests,
 )
 from repro.errors import CheckpointError, EngineError, SimulatedCrash
@@ -319,15 +318,12 @@ class Fleet:
 
     # -- admission + serving -------------------------------------------------------
 
-    def admit(self, requests) -> tuple[list, list]:
+    def admit(self, requests) -> tuple[list[SessionRequest],
+                                       list[SessionRequest]]:
         """Fleet-wide greedy admission: each request routes to its
         owning shard and must fit that shard's remaining budget.
         Same answer shapes as :meth:`VodServer.admit`."""
-        reqs, legacy = normalize_requests(requests)
-        admitted, rejected = self._admit(reqs)
-        if legacy:
-            return [r.key for r in admitted], [r.key for r in rejected]
-        return admitted, rejected
+        return self._admit(normalize_requests(requests))
 
     def _admit(self, requests: list[SessionRequest]) -> tuple[
             list[SessionRequest], list[SessionRequest]]:
@@ -354,11 +350,7 @@ class Fleet:
         return f"{self.checkpoint_dir}/{name}.ckpt"
 
     def serve(self, requests, options: ServeOptions | None = None, *,
-              enforce_admission=_UNSET,
-              fault_plan=_UNSET,
-              retry_policy=_UNSET,
-              adaptation=_UNSET,
-              granularity=_UNSET) -> ServerReport:
+              enforce_admission: bool | None = None) -> ServerReport:
         """Serve a batch across the fleet; returns one merged report.
 
         Requests route to their owning shards and each shard's batch
@@ -369,15 +361,19 @@ class Fleet:
         that crashes mid-batch is failed over: survivors adopt its last
         durable checkpoint batch, and the merged report accounts every
         displaced session exactly once (recovered, resumed, or failed).
+
+        ``enforce_admission`` alone is shorthand for
+        ``ServeOptions(enforce_admission=...)``; the perfbench ``vod``
+        workload's warm-up still calls it that way.
         """
-        reqs, _ = normalize_requests(requests)
-        opts = VodServer._merge_options(options, dict(
-            enforce_admission=enforce_admission,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            adaptation=adaptation,
-            granularity=granularity,
-        ))
+        reqs = normalize_requests(requests)
+        opts = ServeOptions() if options is None else options
+        if enforce_admission is not None:
+            if options is not None:
+                raise EngineError(
+                    "pass enforce_admission inside options, not both"
+                )
+            opts = ServeOptions(enforce_admission=enforce_admission)
         if opts.checkpoint_to is not None:
             raise EngineError(
                 "the fleet manages shard checkpoints itself; construct "
@@ -387,6 +383,8 @@ class Fleet:
             raise EngineError("serve needs at least one request")
         if not self._live:
             raise EngineError("no live shards: the whole fleet is dead")
+        # The catalog is replicated, so any shard can vouch for titles.
+        self._shards[self._live[0]]._check_titles(reqs)
         if opts.enforce_admission:
             admitted, rejected = self._admit(reqs)
         else:

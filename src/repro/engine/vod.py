@@ -20,9 +20,8 @@ import base64
 import dataclasses
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 from repro.core.interpretation import Interpretation
 from repro.core.rational import Rational, as_rational
@@ -57,10 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Checkpoint payload format version; bump on incompatible changes.
 CHECKPOINT_VERSION = 1
 
-#: Sentinel distinguishing "keyword not passed" from an explicit None in
-#: the ``serve``/``resume`` keyword shims.
-_UNSET: Any = object()
-
 #: Kernel drive modes a batch may request.
 _GRANULARITIES = ("auto", "session", "read")
 
@@ -69,12 +64,11 @@ _GRANULARITIES = ("auto", "session", "read")
 class SessionRequest:
     """One client's request for a title, as a first-class object.
 
-    The redesigned serving API passes these instead of bare
-    ``(client, title)`` tuples. ``arrival_time`` staggers the session's
-    start on the kernel's shared clock (the seed behaviour is every
-    session arriving at time zero); ``retry_policy`` and ``adaptation``
-    override the batch-wide policies for this session only. ``key`` is
-    the session's identity — what fleet rollups count exactly once.
+    ``arrival_time`` staggers the session's start on the kernel's shared
+    clock (the seed behaviour is every session arriving at time zero);
+    ``retry_policy`` and ``adaptation`` override the batch-wide policies
+    for this session only. ``key`` is the session's identity — what
+    fleet rollups count exactly once.
     """
 
     client: str
@@ -99,7 +93,7 @@ class SessionRequest:
 
 @dataclass(frozen=True, kw_only=True)
 class ServeOptions:
-    """Batch-wide serving policy, as one object instead of loose kwargs.
+    """Batch-wide serving policy for :meth:`VodServer.serve`.
 
     ``granularity`` picks the kernel drive mode: ``"session"`` runs
     each session whole in a single event (exactly the seed stepping
@@ -129,49 +123,28 @@ class ServeOptions:
         return dataclasses.replace(self, **changes)
 
 
-def normalize_requests(
-    requests: "Sequence[SessionRequest | tuple[str, str]] | SessionRequest",
-    *, warn: bool = True, stacklevel: int = 3,
-) -> tuple[list[SessionRequest], bool]:
-    """Coerce a request batch to :class:`SessionRequest` objects.
+def normalize_requests(requests) -> list[SessionRequest]:
+    """A request batch as a list of :class:`SessionRequest` objects.
 
-    Native ``SessionRequest`` items pass through untouched; a single
-    request may stand in for a batch of one. Legacy ``(client, title)``
-    pairs are converted — with one :class:`DeprecationWarning` per call
-    unless ``warn`` is off (the same shim pattern as the PR-2
-    ``play_reads`` overloads). Returns ``(requests, legacy)`` where
-    ``legacy`` says whether any tuple form appeared, so callers like
-    :meth:`VodServer.admit` can answer in the shape they were asked.
+    ``requests`` is one request or an iterable of them; anything else
+    — ``None``, a bare number, ``(client, title)`` pairs — raises
+    :class:`~repro.errors.EngineError`.
     """
     if isinstance(requests, SessionRequest):
-        return [requests], False
-    normalized: list[SessionRequest] = []
-    legacy = False
-    for request in requests:
-        if isinstance(request, SessionRequest):
-            normalized.append(request)
-            continue
-        if isinstance(request, str):
+        return [requests]
+    try:
+        batch = list(requests)
+    except TypeError:
+        raise EngineError(
+            "requests must be a SessionRequest or a sequence of them, "
+            f"got {type(requests).__name__}"
+        ) from None
+    for request in batch:
+        if not isinstance(request, SessionRequest):
             raise EngineError(
-                "requests must be SessionRequest objects or "
-                f"(client, title) pairs, got {request!r}"
+                f"requests must be SessionRequest objects, got {request!r}"
             )
-        try:
-            client, title = request
-        except (TypeError, ValueError):
-            raise EngineError(
-                "requests must be SessionRequest objects or "
-                f"(client, title) pairs, got {request!r}"
-            ) from None
-        legacy = True
-        normalized.append(SessionRequest(client=client, title=title))
-    if legacy and warn:
-        warnings.warn(
-            "passing (client, title) tuples is deprecated; pass "
-            "SessionRequest objects",
-            DeprecationWarning, stacklevel=stacklevel,
-        )
-    return normalized, legacy
+    return batch
 
 
 @dataclass
@@ -510,14 +483,26 @@ class VodServer:
 
     def verify_title(self, title: str):
         """The static checker's full report for a published title."""
-        try:
-            interpretation = self._titles[title]
-        except KeyError:
-            raise EngineError(f"unknown title {title!r}") from None
-        return self._check_interpretation(interpretation)
+        return self._check_interpretation(self._title(title))
 
     def titles(self) -> list[str]:
         return sorted(self._titles)
+
+    def _title(self, title: str) -> Interpretation:
+        """A published title's interpretation; EngineError if unknown."""
+        try:
+            return self._titles[title]
+        except KeyError:
+            raise EngineError(f"unknown title {title!r}") from None
+
+    def _check_titles(self, requests: list[SessionRequest]) -> None:
+        """Refuse a batch naming an unpublished title before any session
+        of it runs."""
+        missing = sorted({r.title for r in requests} - set(self._titles))
+        if missing:
+            raise EngineError(
+                "unknown title " + ", ".join(repr(t) for t in missing)
+            )
 
     def prefetch(self, title: str) -> int:
         """Warm the storage path beneath ``title``; returns bytes pulled.
@@ -529,10 +514,7 @@ class VodServer:
         of on a paying client; the replay benchmark measures the
         difference.
         """
-        try:
-            interpretation = self._titles[title]
-        except KeyError:
-            raise EngineError(f"unknown title {title!r}") from None
+        interpretation = self._title(title)
         warmed = 0
         with self.obs.tracer.span("vod.prefetch", title=title) as span:
             for name in interpretation.names():
@@ -546,10 +528,7 @@ class VodServer:
 
     def required_rate(self, title: str) -> Rational:
         """Mean data rate the title needs (from its descriptors)."""
-        try:
-            interpretation = self._titles[title]
-        except KeyError:
-            raise EngineError(f"unknown title {title!r}") from None
+        interpretation = self._title(title)
         total = Rational(0)
         for name in interpretation.names():
             descriptor = interpretation.sequence(name).media_descriptor
@@ -564,21 +543,12 @@ class VodServer:
 
     # -- admission + serving ------------------------------------------------------
 
-    def admit(self, requests) -> tuple[list, list]:
+    def admit(self, requests) -> tuple[list[SessionRequest],
+                                       list[SessionRequest]]:
         """Greedy admission: accept requests while aggregate required
         rate (with margin) fits the bandwidth. Returns (admitted,
-        rejected).
-
-        Accepts :class:`SessionRequest` objects natively. Legacy
-        ``(client, title)`` pairs still work — with a
-        :class:`DeprecationWarning` — and come back in tuple form, so
-        existing callers keep unpacking what they passed.
-        """
-        reqs, legacy = normalize_requests(requests)
-        admitted, rejected = self._admit_requests(reqs)
-        if legacy:
-            return [r.key for r in admitted], [r.key for r in rejected]
-        return admitted, rejected
+        rejected) :class:`SessionRequest` lists."""
+        return self._admit_requests(normalize_requests(requests))
 
     def _admit_requests(self, requests: list[SessionRequest]) -> tuple[
             list[SessionRequest], list[SessionRequest]]:
@@ -596,33 +566,40 @@ class VodServer:
                 rejected.append(request)
         return admitted, rejected
 
-    @staticmethod
-    def _merge_options(options: ServeOptions | None,
-                       overrides: dict) -> ServeOptions:
-        given = {k: v for k, v in overrides.items() if v is not _UNSET}
-        if options is not None:
-            if given:
-                raise EngineError(
-                    "pass options=ServeOptions(...) or individual "
-                    "keywords, not both"
-                )
-            return options
-        return ServeOptions(**given)
+    def _admit_batch(self, requests, opts: ServeOptions) -> tuple[
+            list[SessionRequest], list[SessionRequest]]:
+        """Validate a serve batch, run admission (when enforced) and
+        count the outcome. Raises before any session runs."""
+        reqs = normalize_requests(requests)
+        if not reqs:
+            raise EngineError("serve needs at least one request")
+        self._check_titles(reqs)
+        if opts.enforce_admission:
+            admitted, rejected = self._admit_requests(reqs)
+        else:
+            admitted, rejected = reqs, []
+        metrics = self.obs.metrics
+        metrics.counter("vod.requests").inc(len(reqs))
+        metrics.counter("vod.admitted").inc(len(admitted))
+        metrics.counter("vod.rejected").inc(len(rejected))
+        return admitted, rejected
 
-    def serve(self, requests, options: ServeOptions | None = None, *,
-              enforce_admission=_UNSET,
-              fault_plan=_UNSET,
-              retry_policy=_UNSET,
-              adaptation=_UNSET,
-              checkpoint_to=_UNSET,
-              checkpoint_fs=_UNSET,
-              granularity=_UNSET) -> ServerReport:
+    def _file_report(self, report: ServerReport) -> ServerReport:
+        """Close a batch: clear its progress and keep its report for
+        :meth:`health` and :meth:`checkpoint`."""
+        self._batch_progress = None
+        self._reports.append(report)
+        return report
+
+    def serve(self, requests,
+              options: ServeOptions | None = None) -> ServerReport:
         """Simulate serving ``requests`` concurrently on the event kernel.
 
-        ``requests`` is a batch of :class:`SessionRequest` objects
-        (legacy ``(client, title)`` pairs still work, with a
-        :class:`DeprecationWarning`); batch-wide policy comes as a
-        :class:`ServeOptions` or as the individual keywords, not both.
+        ``requests`` is a :class:`SessionRequest` or a sequence of them;
+        ``options`` (default ``ServeOptions()``) carries the batch-wide
+        policy. A request for an unpublished title, or anything that is
+        not a request, raises :class:`~repro.errors.EngineError` before
+        any session runs.
 
         With ``enforce_admission`` the admission test runs first;
         without it every request is served (the overload experiment).
@@ -648,112 +625,17 @@ class VodServer:
         loses at most the in-flight session: :meth:`restore` +
         :meth:`resume` pick the batch up from the last completed one.
         """
-        reqs, _ = normalize_requests(requests)
-        opts = self._merge_options(options, dict(
-            enforce_admission=enforce_admission,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            adaptation=adaptation,
-            checkpoint_to=checkpoint_to,
-            checkpoint_fs=checkpoint_fs,
-            granularity=granularity,
-        ))
-        if not reqs:
-            raise EngineError("serve needs at least one request")
-        if opts.enforce_admission:
-            admitted, rejected = self._admit_requests(reqs)
-        else:
-            admitted, rejected = list(reqs), []
-        metrics = self.obs.metrics
-        metrics.counter("vod.requests").inc(len(reqs))
-        metrics.counter("vod.admitted").inc(len(admitted))
-        metrics.counter("vod.rejected").inc(len(rejected))
+        opts = ServeOptions() if options is None else options
+        admitted, rejected = self._admit_batch(requests, opts)
         share = max(1, self.bandwidth // len(admitted)) if admitted else 0
         sessions, failed = self._run_batch(admitted, rejected, opts, share)
-        self._batch_progress = None
-        report = ServerReport(
+        return self._file_report(ServerReport(
             admitted=sessions,
             rejected=rejected,
             bandwidth=self.bandwidth,
             per_client_bandwidth=share,
             failed=failed,
-        )
-        self._reports.append(report)
-        return report
-
-    def serve_stepping(self, requests, options: ServeOptions | None = None, *,
-                       enforce_admission=_UNSET,
-                       fault_plan=_UNSET,
-                       retry_policy=_UNSET,
-                       adaptation=_UNSET,
-                       checkpoint_to=_UNSET,
-                       checkpoint_fs=_UNSET) -> ServerReport:
-        """The seed serving loop, retained as the equivalence oracle.
-
-        Steps each admitted session to completion before touching the
-        next — the pre-kernel semantics. The kernel path at session
-        granularity must produce byte-identical observability exports
-        and an equal :class:`ServerReport`; the equivalence suite holds
-        :meth:`serve` to this implementation. Not deprecated, but new
-        code should call :meth:`serve`.
-        """
-        reqs, _ = normalize_requests(requests, warn=False)
-        opts = self._merge_options(options, dict(
-            enforce_admission=enforce_admission,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            adaptation=adaptation,
-            checkpoint_to=checkpoint_to,
-            checkpoint_fs=checkpoint_fs,
         ))
-        if not reqs:
-            raise EngineError("serve needs at least one request")
-        if opts.enforce_admission:
-            admitted, rejected = self._admit_requests(reqs)
-        else:
-            admitted, rejected = list(reqs), []
-        metrics = self.obs.metrics
-        metrics.counter("vod.requests").inc(len(reqs))
-        metrics.counter("vod.admitted").inc(len(admitted))
-        metrics.counter("vod.rejected").inc(len(rejected))
-        sessions: list[Session] = []
-        failed: list[tuple[str, str, str]] = []
-        if admitted:
-            share = max(1, self.bandwidth // len(admitted))
-            player = self._build_player(
-                share, opts.fault_plan, opts.retry_policy, opts.adaptation,
-            )
-            for position, request in enumerate(admitted):
-                self.crash.point("vod.serve.session")
-                session = self._serve_one(
-                    self._player_for(request, player, share, opts),
-                    request.client, request.title, share, opts.fault_plan,
-                    request.retry_policy or opts.retry_policy,
-                    request.adaptation or opts.adaptation,
-                    failed, request=request,
-                )
-                if session is not None:
-                    sessions.append(session)
-                if opts.checkpoint_to is not None:
-                    self._batch_progress = self._progress_payload(
-                        admitted, rejected, sessions, failed,
-                        admitted[position + 1:], share,
-                    )
-                    self.checkpoint_to(
-                        opts.checkpoint_to, fs=opts.checkpoint_fs,
-                    )
-        else:
-            share = 0
-        self._batch_progress = None
-        report = ServerReport(
-            admitted=sessions,
-            rejected=rejected,
-            bandwidth=self.bandwidth,
-            per_client_bandwidth=share,
-            failed=failed,
-        )
-        self._reports.append(report)
-        return report
 
     # -- the kernel batch driver ---------------------------------------------------
 
@@ -969,19 +851,9 @@ class VodServer:
         """
         now = machine.loop.clock.now()
         if machine.restarts > 0:
-            failed.append((request.client, request.title, str(exc)))
-            self.obs.metrics.counter("vod.failed").inc()
-            self.obs.events.record(
-                Severity.CRITICAL, "vod.server", "session.failed",
-                at=now, client=request.client, title=request.title,
-                reason=str(exc),
-            )
+            self._setback(request.client, request.title, failed, exc, at=now)
             return None
-        self.obs.metrics.counter("vod.fallbacks").inc()
-        self.obs.events.record(
-            Severity.WARNING, "vod.server", "session.fallback",
-            at=now, client=request.client, title=request.title,
-        )
+        self._setback(request.client, request.title, failed, at=now)
         fallback = self._fallback_player(
             share, opts.fault_plan,
             request.retry_policy or opts.retry_policy,
@@ -991,6 +863,28 @@ class VodServer:
         if not self.obs.enabled:
             return stepper
         return _trace_steps(self.obs, context, stepper)
+
+    def _setback(self, client: str, title: str,
+                 failed: list[tuple[str, str, str]],
+                 exc: Exception | None = None, at=None) -> None:
+        """Account a session falling back (no ``exc``) or failing even
+        the fallback: the counter, the ``failed`` row and the flight
+        recorder event. ``at`` stamps the event (None: the recorder's
+        clock)."""
+        events = self.obs.events
+        if exc is None:
+            self.obs.metrics.counter("vod.fallbacks").inc()
+            events.record(
+                Severity.WARNING, "vod.server", "session.fallback",
+                at=at, client=client, title=title,
+            )
+            return
+        failed.append((client, title, str(exc)))
+        self.obs.metrics.counter("vod.failed").inc()
+        events.record(
+            Severity.CRITICAL, "vod.server", "session.failed",
+            at=at, client=client, title=title, reason=str(exc),
+        )
 
     def _telemetry_source(self) -> str:
         """This server's name in the telemetry store: its scope prefix
@@ -1018,12 +912,8 @@ class VodServer:
             except SimulatedCrash:
                 raise
             except MediaModelError:
-                self.obs.metrics.counter("vod.fallbacks").inc()
                 span.set(outcome="fallback")
-                self.obs.events.record(
-                    Severity.WARNING, "vod.server",
-                    "session.fallback", client=client, title=title,
-                )
+                self._setback(client, title, failed)
                 session = self._serve_degraded(
                     client, title, share, fault_plan, retry_policy,
                     adaptation, failed, request=request,
@@ -1073,12 +963,7 @@ class VodServer:
         except SimulatedCrash:
             raise
         except MediaModelError as exc:
-            failed.append((client, title, str(exc)))
-            self.obs.metrics.counter("vod.failed").inc()
-            self.obs.events.record(
-                Severity.CRITICAL, "vod.server", "session.failed",
-                client=client, title=title, reason=str(exc),
-            )
+            self._setback(client, title, failed, exc)
             return None
         return Session(client, title, report, degraded=True, request=request)
 
@@ -1250,9 +1135,7 @@ class VodServer:
             )
         self._pending_batch = batch
 
-    def resume(self, options: ServeOptions | None = None, *,
-               fault_plan=_UNSET, retry_policy=_UNSET,
-               adaptation=_UNSET) -> ServerReport:
+    def resume(self, options: ServeOptions | None = None) -> ServerReport:
         """Finish the serve batch interrupted by the crash.
 
         Sessions completed before the crash are *not* re-served: they
@@ -1266,11 +1149,7 @@ class VodServer:
                 "nothing to resume: this server was not restored from a "
                 "mid-serve checkpoint"
             )
-        opts = self._merge_options(options, dict(
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            adaptation=adaptation,
-        ))
+        opts = ServeOptions() if options is None else options
         batch = self._pending_batch
         self._pending_batch = None
         try:
@@ -1309,16 +1188,14 @@ class VodServer:
                 remaining, rejected, opts, share,
                 resumed=True, failed=failed,
             )
-        report = ServerReport(
+        return self._file_report(ServerReport(
             admitted=sessions,
             rejected=rejected,
             bandwidth=self.bandwidth,
             per_client_bandwidth=share,
             failed=failed,
             recovered=recovered,
-        )
-        self._reports.append(report)
-        return report
+        ))
 
     # -- health ------------------------------------------------------------------
 

@@ -110,11 +110,33 @@ class TestCatalogAndAdmission:
         assert len(admitted) == owner_capacity
         assert len(rejected) == 5
 
-    def test_admit_mirrors_legacy_shape(self, movie, short):
+    def test_admit_answers_with_requests(self, movie, short):
         fleet = build_fleet(movie, short)
-        with pytest.deprecated_call():
-            admitted, rejected = fleet.admit([("a", "feature")])
-        assert admitted == [("a", "feature")] and rejected == []
+        request = SessionRequest(client="a", title="feature")
+        admitted, rejected = fleet.admit([request])
+        assert admitted == [request] and rejected == []
+
+
+    def test_unknown_title_refused_before_any_shard_serves(self, movie,
+                                                           short):
+        obs = Observability()
+        fleet = build_fleet(movie, short, obs=obs)
+        batch = requests(3) + [SessionRequest(client="x", title="nope")]
+        for options in (None, ServeOptions(enforce_admission=False),
+                        ServeOptions(enforce_admission=False,
+                                     granularity="read")):
+            with pytest.raises(EngineError, match="unknown title 'nope'"):
+                fleet.serve(batch, options)
+        assert fleet.health().sessions == 0
+
+    @pytest.mark.parametrize("batch", [None, 5, [("a", "feature")]],
+                             ids=["none", "int", "tuple-list"])
+    def test_malformed_batches_raise_engine_error(self, movie, short, batch):
+        fleet = build_fleet(movie, short)
+        with pytest.raises(EngineError, match="SessionRequest"):
+            fleet.serve(batch)
+        with pytest.raises(EngineError, match="SessionRequest"):
+            fleet.admit(batch)
 
 
 class TestFleetServe:
@@ -132,6 +154,14 @@ class TestFleetServe:
         with pytest.raises(EngineError, match="manages shard checkpoints"):
             fleet.serve(requests(1),
                         ServeOptions(checkpoint_to="/x", checkpoint_fs=None))
+
+    def test_enforce_admission_keyword_and_options_conflict(self, movie,
+                                                            short):
+        fleet = build_fleet(movie, short)
+        report = fleet.serve(requests(2), enforce_admission=False)
+        assert report.admitted_count == 2
+        with pytest.raises(EngineError, match="not both"):
+            fleet.serve(requests(1), ServeOptions(), enforce_admission=False)
 
     def test_scoped_metric_namespaces(self, movie, short):
         obs = Observability()
@@ -261,7 +291,7 @@ class TestFleetTelemetry:
             [SessionRequest(client=f"client-{i}", title="feature",
                             arrival_time=Rational(i, 8))
              for i in range(6)],
-            enforce_admission=False,
+            ServeOptions(enforce_admission=False),
         )
         return fleet, telemetry, transitions
 

@@ -2,7 +2,7 @@
 
 The kernel rebuild of :meth:`VodServer.serve` must be a pure refactor
 for uniform-arrival batches: byte-identical observability exports and
-identical :class:`ServerReport`\\s against :meth:`serve_stepping`, the
+identical :class:`ServerReport`\\s against :func:`serve_stepping`, the
 seed loop retained verbatim as the oracle — including for same-seed
 faulted runs, adaptation runs and checkpointed runs.
 """
@@ -21,6 +21,7 @@ from repro.faults.plan import FaultPlan
 from repro.media import frames
 from repro.media.objects import video_object
 from repro.obs import Observability, to_json_lines
+from tests.engine.stepping_oracle import serve_stepping
 
 
 def make_title(name, frame_count=25, size=48):
@@ -65,7 +66,7 @@ def run_both(movie, short, reqs, options=None):
     server_a = build_server(movie, short, obs=obs_a)
     server_b = build_server(movie, short, obs=obs_b)
     report_a = server_a.serve(reqs, options)
-    report_b = server_b.serve_stepping(reqs, options)
+    report_b = serve_stepping(server_b, reqs, options)
     return report_a, report_b, obs_a, obs_b
 
 
@@ -89,21 +90,9 @@ class TestCleanEquivalence:
         capacity = server_a.capacity("feature")
         reqs = requests(capacity + 4)
         report_a = server_a.serve(reqs)
-        report_b = server_b.serve_stepping(reqs)
+        report_b = serve_stepping(server_b, reqs)
         assert report_a == report_b
         assert len(report_a.rejected) == 4
-        assert to_json_lines(obs_a) == to_json_lines(obs_b)
-
-    def test_legacy_tuples_match_native_requests(self, movie, short):
-        obs_a, obs_b = Observability(), Observability()
-        server_a = build_server(movie, short, obs=obs_a)
-        server_b = build_server(movie, short, obs=obs_b)
-        native = requests(3)
-        legacy = [(r.client, r.title) for r in native]
-        report_a = server_a.serve(native)
-        with pytest.deprecated_call():
-            report_b = server_b.serve(legacy)
-        assert report_a == report_b
         assert to_json_lines(obs_a) == to_json_lines(obs_b)
 
 
@@ -149,7 +138,7 @@ class TestCheckpointedEquivalence:
         reqs = requests(3)
         server_a.serve(reqs, ServeOptions(
             checkpoint_to="/ckpt/batch.json", checkpoint_fs=fs_a))
-        server_b.serve_stepping(reqs, ServeOptions(
+        serve_stepping(server_b, reqs, ServeOptions(
             checkpoint_to="/ckpt/batch.json", checkpoint_fs=fs_b))
         from repro.durability.atomic import read_bytes
         assert read_bytes("/ckpt/batch.json", fs=fs_a) == \

@@ -84,20 +84,6 @@ class TestPolymorphicPlay:
             player.play([1, 2, 3])
 
 
-class TestDeprecatedShims:
-    def test_play_reads_warns_and_delegates(self, player, movie):
-        reads = player.plan_interpretation(movie)
-        with pytest.warns(DeprecationWarning, match="play_reads"):
-            report = player.play_reads(reads)
-        assert report == player.play(reads)
-
-    def test_play_multimedia_warns_and_delegates(self, player):
-        multimedia = _multimedia()
-        with pytest.warns(DeprecationWarning, match="play_multimedia"):
-            report = player.play_multimedia(multimedia)
-        assert report == player.play(multimedia)
-
-
 class TestKeywordOnlyPolicies:
     def test_retry_policy_rejects_positional(self):
         with pytest.raises(TypeError):

@@ -1,8 +1,9 @@
 """Tests for the session-object serving API.
 
 :class:`SessionRequest` / :class:`ServeOptions` are the redesigned
-request surface; legacy ``(client, title)`` tuples and bare keywords
-remain as a deprecation shim. Identity normalization on
+request surface: ``serve(requests, options=None)`` takes a request or
+a sequence of them plus an optional :class:`ServeOptions`, and anything
+else raises :class:`EngineError`. Identity normalization on
 :meth:`ServerReport.outcomes` is what fleet rollups count with.
 """
 
@@ -28,6 +29,7 @@ from repro.errors import EngineError
 from repro.faults.plan import FaultPlan
 from repro.media import frames
 from repro.media.objects import video_object
+from repro.obs import Observability
 
 
 def make_title(name, frame_count=25, size=48):
@@ -95,23 +97,17 @@ class TestServeOptions:
 
 
 class TestNormalization:
-    def test_tuples_warn_once_per_call(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            reqs, legacy = normalize_requests(
-                [("a", "feature"), ("b", "feature")])
-        assert legacy
-        assert [r.key for r in reqs] == [("a", "feature"), ("b", "feature")]
-        assert len([w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]) == 1
-
     def test_native_requests_pass_through_silently(self):
         native = [SessionRequest(client="a", title="feature")]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reqs, legacy = normalize_requests(native)
-        assert not legacy
+            reqs = normalize_requests(native)
+        assert reqs == native
         assert reqs[0] is native[0]
+
+    def test_single_request_is_a_batch_of_one(self):
+        request = SessionRequest(client="a", title="feature")
+        assert normalize_requests(request) == [request]
 
     def test_strings_rejected(self):
         with pytest.raises(EngineError):
@@ -119,12 +115,6 @@ class TestNormalization:
 
 
 class TestServeSurface:
-    def test_legacy_tuples_deprecated_but_served(self, server):
-        with pytest.deprecated_call():
-            report = server.serve([("alice", "feature")])
-        assert report.admitted_count == 1
-        assert report.admitted[0].identity == ("alice", "feature")
-
     def test_native_requests_emit_no_warning(self, server):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -132,21 +122,10 @@ class TestServeSurface:
                 [SessionRequest(client="alice", title="feature")])
         assert report.admitted_count == 1
 
-    def test_options_and_kwargs_conflict(self, server):
-        with pytest.raises(EngineError, match="not both"):
-            server.serve(
-                [SessionRequest(client="a", title="feature")],
-                ServeOptions(granularity="read"),
-                enforce_admission=False,
-            )
-
     def test_admit_mirrors_input_shape(self, server):
         native = [SessionRequest(client="a", title="feature")]
         admitted, rejected = server.admit(native)
         assert admitted == native and rejected == []
-        with pytest.deprecated_call():
-            admitted, rejected = server.admit([("a", "feature")])
-        assert admitted == [("a", "feature")] and rejected == []
 
     def test_session_carries_its_request(self, server):
         request = SessionRequest(client="alice", title="feature")
@@ -185,6 +164,53 @@ class TestServeSurface:
         by_client = {s.client: s for s in report.admitted}
         assert by_client["adaptive"].report.delivered_quality <= \
             by_client["fixed"].report.delivered_quality
+
+
+class TestUnknownTitles:
+    """An unpublished title is refused up front with EngineError, never
+    a raw KeyError, and before any session of the batch runs."""
+
+    @pytest.mark.parametrize("granularity", ["session", "read"])
+    def test_admission_off_raises_engine_error(self, server, granularity):
+        with pytest.raises(EngineError, match="unknown title 'nope'"):
+            server.serve(
+                [SessionRequest(client="a", title="nope")],
+                ServeOptions(enforce_admission=False,
+                             granularity=granularity),
+            )
+
+    def test_admission_on_raises_engine_error(self, server):
+        with pytest.raises(EngineError, match="unknown title"):
+            server.serve([SessionRequest(client="a", title="nope")])
+
+    @pytest.mark.parametrize("granularity", ["session", "read"])
+    def test_no_session_runs_before_the_refusal(self, movie, granularity):
+        obs = Observability()
+        server = VodServer(bandwidth=2_000_000, prefetch_depth=8, obs=obs)
+        server.publish("feature", movie)
+        batch = [SessionRequest(client="a", title="feature"),
+                 SessionRequest(client="b", title="nope")]
+        with pytest.raises(EngineError, match="unknown title 'nope'"):
+            server.serve(batch, ServeOptions(enforce_admission=False,
+                                             granularity=granularity))
+        assert "engine.play.runs" not in obs.metrics
+        assert server.health().sessions == 0
+
+
+class TestMalformedBatches:
+    @pytest.mark.parametrize("batch", [
+        None, 5, [("a", "feature")], ("a", "feature"), "feature",
+        [SessionRequest(client="a", title="feature"), None],
+    ], ids=["none", "int", "tuple-list", "tuple", "str", "mixed"])
+    def test_serve_and_admit_raise_engine_error(self, server, batch):
+        with pytest.raises(EngineError, match="SessionRequest"):
+            server.serve(batch)
+        with pytest.raises(EngineError, match="SessionRequest"):
+            server.admit(batch)
+
+    def test_empty_batch_rejected(self, server):
+        with pytest.raises(EngineError, match="at least one"):
+            server.serve([])
 
 
 class TestReadGranularity:

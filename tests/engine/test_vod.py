@@ -5,7 +5,7 @@ import pytest
 from repro.blob.blob import MemoryBlob
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.engine.recorder import Recorder
-from repro.engine.vod import VodServer
+from repro.engine.vod import ServeOptions, SessionRequest, VodServer
 from repro.errors import EngineError, ResourceError
 from repro.media import frames
 from repro.media.objects import video_object
@@ -76,7 +76,8 @@ class TestAdmission:
 
     def test_admit_up_to_capacity(self, server):
         capacity = server.capacity("feature")
-        requests = [(f"c{i}", "feature") for i in range(capacity + 3)]
+        requests = [SessionRequest(client=f"c{i}", title="feature")
+                    for i in range(capacity + 3)]
         admitted, rejected = server.admit(requests)
         assert len(admitted) == capacity
         assert len(rejected) == 3
@@ -107,7 +108,12 @@ class TestServing:
     def test_admitted_sessions_play_clean(self, server):
         capacity = server.capacity("feature")
         count = max(1, capacity // 2)
-        report = server.serve([(f"c{i}", "feature") for i in range(count)])
+        report = server.serve(
+            [
+                SessionRequest(client=f"c{i}", title="feature")
+                for i in range(count)
+            ],
+        )
         assert report.admitted_count == count
         assert report.clean_sessions() == count
         assert report.underrun_sessions() == 0
@@ -116,8 +122,9 @@ class TestServing:
         capacity = server.capacity("feature")
         overload = capacity * 3
         report = server.serve(
-            [(f"c{i}", "feature") for i in range(overload)],
-            enforce_admission=False,
+            [SessionRequest(client=f"c{i}", title="feature")
+             for i in range(overload)],
+            ServeOptions(enforce_admission=False),
         )
         assert report.admitted_count == overload
         assert report.underrun_sessions() > 0
@@ -126,8 +133,10 @@ class TestServing:
         """The point of admission control: the same overload, admitted
         properly, keeps every served session clean."""
         capacity = server.capacity("feature")
-        requests = [(f"c{i}", "feature") for i in range(capacity * 3)]
-        protected = server.serve(requests, enforce_admission=True)
+        requests = [SessionRequest(client=f"c{i}", title="feature")
+                    for i in range(capacity * 3)]
+        protected = server.serve(requests,
+                                 ServeOptions(enforce_admission=True))
         assert protected.underrun_sessions() == 0
         assert len(protected.rejected) == capacity * 2
 
@@ -136,5 +145,10 @@ class TestServing:
             server.serve([])
 
     def test_per_client_bandwidth(self, server):
-        report = server.serve([("a", "feature"), ("b", "feature")])
+        report = server.serve(
+            [
+                SessionRequest(client="a", title="feature"),
+                SessionRequest(client="b", title="feature"),
+            ],
+        )
         assert report.per_client_bandwidth == 1_000_000

@@ -11,7 +11,7 @@ import pytest
 from repro.blob.blob import MemoryBlob
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.engine.recorder import Recorder
-from repro.engine.vod import VodServer
+from repro.engine.vod import ServeOptions, SessionRequest, VodServer
 from repro.faults import FaultPlan
 from repro.media import frames
 from repro.media.objects import video_object
@@ -37,7 +37,10 @@ def faulted_run(movie, event_capacity=1024):
     server.publish("feature", movie)
     plan = FaultPlan(seed=55, transient_rate=0.2, bad_page_rate=0.1,
                      corruption_rate=0.1, degraded_fraction=0.3)
-    server.serve([(f"c{i}", "feature") for i in range(3)], fault_plan=plan)
+    server.serve(
+        [SessionRequest(client=f"c{i}", title="feature") for i in range(3)],
+        ServeOptions(fault_plan=plan),
+    )
     return obs
 
 
@@ -53,8 +56,10 @@ def starved_run(movie):
     server.publish("feature", movie)
     plan = FaultPlan(seed=7, transient_rate=0.5, bad_page_rate=0.3,
                      corruption_rate=0.1, degraded_fraction=1.0)
-    server.serve([(f"c{i}", "feature") for i in range(3)],
-                 enforce_admission=False, fault_plan=plan)
+    server.serve(
+        [SessionRequest(client=f"c{i}", title="feature") for i in range(3)],
+        ServeOptions(enforce_admission=False, fault_plan=plan),
+    )
     return obs
 
 
@@ -78,7 +83,10 @@ class TestDeterminism:
             server.publish("feature", movie)
             plan = FaultPlan(seed=seed, transient_rate=0.3,
                              bad_page_rate=0.1)
-            server.serve([("c0", "feature")], fault_plan=plan)
+            server.serve(
+                [SessionRequest(client="c0", title="feature")],
+                ServeOptions(fault_plan=plan),
+            )
             return to_json_lines(obs)
 
         assert export_with_seed(1) != export_with_seed(2)
@@ -89,7 +97,7 @@ class TestDeterminism:
             server = VodServer(bandwidth=2_000_000, prefetch_depth=8,
                                obs=obs)
             server.publish("feature", movie)
-            server.serve([("c0", "feature")])
+            server.serve([SessionRequest(client="c0", title="feature")])
             return to_json_lines(obs)
 
         assert clean_export() == clean_export()
@@ -115,7 +123,12 @@ class TestDeterminism:
                                derivation_cache=cache, obs=obs)
             server.publish("feature", title)
             server.prefetch("feature")
-            server.serve([("c0", "feature"), ("c1", "feature")])
+            server.serve(
+                [
+                    SessionRequest(client="c0", title="feature"),
+                    SessionRequest(client="c1", title="feature"),
+                ],
+            )
             server.prefetch("feature")
             return to_json_lines(obs)
 
