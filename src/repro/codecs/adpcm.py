@@ -34,87 +34,121 @@ STEP_TABLE = (
 INDEX_TABLE = (-1, -1, -1, -1, 2, 4, 6, 8)
 
 
-def _encode_sample(sample: int, state: list[int]) -> int:
-    """Encode one sample against ``state = [predictor, step_index]``."""
-    predictor, step_index = state
-    step = STEP_TABLE[step_index]
-    diff = sample - predictor
-    nibble = 0
-    if diff < 0:
-        nibble = 8
-        diff = -diff
-    delta = step >> 3
-    if diff >= step:
-        nibble |= 4
-        diff -= step
-        delta += step
-    step >>= 1
-    if diff >= step:
-        nibble |= 2
-        diff -= step
-        delta += step
-    step >>= 1
-    if diff >= step:
-        nibble |= 1
-        delta += step
-    if nibble & 8:
-        predictor -= delta
-    else:
-        predictor += delta
-    predictor = max(-32768, min(32767, predictor))
-    step_index += INDEX_TABLE[nibble & 7]
-    step_index = max(0, min(88, step_index))
-    state[0] = predictor
-    state[1] = step_index
-    return nibble
+def _state_tables() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The IMA state update as two tables keyed ``step_index << 4 | nibble``.
+
+    The first holds the signed predictor change a nibble makes at that
+    step, the second the next (clamped) step index: decoding a nibble
+    becomes two tuple reads, and so does the encoder's state update once
+    it has chosen the nibble.
+    """
+    deltas, next_indices = [], []
+    for index, step in enumerate(STEP_TABLE):
+        for nibble in range(16):
+            delta = step >> 3
+            if nibble & 4:
+                delta += step
+            if nibble & 2:
+                delta += step >> 1
+            if nibble & 1:
+                delta += step >> 2
+            deltas.append(-delta if nibble & 8 else delta)
+            next_indices.append(
+                max(0, min(88, index + INDEX_TABLE[nibble & 7])))
+    return tuple(deltas), tuple(next_indices)
 
 
-def _decode_nibble(nibble: int, state: list[int]) -> int:
-    """Decode one 4-bit code against ``state = [predictor, step_index]``."""
-    predictor, step_index = state
-    step = STEP_TABLE[step_index]
-    delta = step >> 3
-    if nibble & 4:
-        delta += step
-    if nibble & 2:
-        delta += step >> 1
-    if nibble & 1:
-        delta += step >> 2
-    if nibble & 8:
-        predictor -= delta
-    else:
-        predictor += delta
-    predictor = max(-32768, min(32767, predictor))
-    step_index += INDEX_TABLE[nibble & 7]
-    step_index = max(0, min(88, step_index))
-    state[0] = predictor
-    state[1] = step_index
-    return predictor
+_STEP_DELTA, _NEXT_INDEX = _state_tables()
+
+
+def _check_step_index(step_index: int) -> None:
+    if not 0 <= step_index <= 88:
+        raise CodecError(f"ADPCM step index {step_index} outside 0..88")
+
+
+def _samples(samples) -> list[int]:
+    """Samples as Python ints, truncated toward zero like ``int()``."""
+    array = np.asarray(samples)
+    if array.dtype.kind in "iub":
+        return array.tolist()
+    return [int(sample) for sample in array]
+
+
+def _encode_run(samples: list[int], predictor: int,
+                step_index: int) -> tuple[bytes, int, int]:
+    """The IMA encode step over ``samples``, inlined.
+
+    Returns the packed nibbles (two per byte, low nibble first) and the
+    final ``(predictor, step_index)`` so blocks can carry state on.
+    """
+    step_delta = _STEP_DELTA
+    next_index = _NEXT_INDEX
+    steps = STEP_TABLE
+    nibbles = bytearray(len(samples) + 1)
+    for position, sample in enumerate(samples):
+        step = steps[step_index]
+        diff = sample - predictor
+        if diff < 0:
+            nibble = 8
+            diff = -diff
+        else:
+            nibble = 0
+        if diff >= step:
+            nibble |= 4
+            diff -= step
+        step >>= 1
+        if diff >= step:
+            nibble |= 2
+            diff -= step
+        if diff >= step >> 1:
+            nibble |= 1
+        key = (step_index << 4) | nibble
+        predictor += step_delta[key]
+        if predictor > 32767:
+            predictor = 32767
+        elif predictor < -32768:
+            predictor = -32768
+        step_index = next_index[key]
+        nibbles[position] = nibble
+    # An odd count pairs its last nibble with the spare zero.
+    paired = np.frombuffer(nibbles, dtype=np.uint8,
+                           count=len(samples) + len(samples) % 2)
+    packed = (paired[0::2] | (paired[1::2] << 4)).tobytes()
+    return packed, predictor, step_index
 
 
 def encode_block(samples: np.ndarray, predictor: int, step_index: int) -> bytes:
     """Encode one mono int16 block; returns packed nibbles (2 per byte)."""
-    state = [int(predictor), int(step_index)]
-    nibbles = []
-    for sample in samples:
-        nibbles.append(_encode_sample(int(sample), state))
-    out = bytearray()
-    for i in range(0, len(nibbles) - 1, 2):
-        out.append(nibbles[i] | (nibbles[i + 1] << 4))
-    if len(nibbles) % 2:
-        out.append(nibbles[-1])
-    return bytes(out)
+    predictor, step_index = int(predictor), int(step_index)
+    _check_step_index(step_index)
+    return _encode_run(_samples(samples), predictor, step_index)[0]
 
 
 def decode_block(data: bytes, count: int, predictor: int, step_index: int) -> np.ndarray:
     """Decode ``count`` samples from packed nibbles."""
-    state = [int(predictor), int(step_index)]
-    samples = np.empty(count, dtype=np.int16)
-    for i in range(count):
-        byte = data[i // 2]
-        nibble = (byte >> 4) if i % 2 else (byte & 0x0F)
-        samples[i] = _decode_nibble(nibble, state)
-    return samples
+    predictor, step_index = int(predictor), int(step_index)
+    _check_step_index(step_index)
+    if count < 0 or len(data) < (count + 1) // 2:
+        raise CodecError(
+            f"{len(data)} ADPCM bytes cannot hold {count} samples")
+    step_delta = _STEP_DELTA
+    next_index = _NEXT_INDEX
+    packed = np.frombuffer(bytes(data[:(count + 1) // 2]), dtype=np.uint8)
+    nibbles = np.empty(2 * len(packed), dtype=np.uint8)
+    nibbles[0::2] = packed & 0x0F
+    nibbles[1::2] = packed >> 4
+    samples = []
+    append = samples.append
+    for nibble in nibbles[:count].tolist():
+        key = (step_index << 4) | nibble
+        predictor += step_delta[key]
+        if predictor > 32767:
+            predictor = 32767
+        elif predictor < -32768:
+            predictor = -32768
+        step_index = next_index[key]
+        append(predictor)
+    return np.array(samples, dtype=np.int16)
 
 
 class AdpcmBlock:
@@ -176,25 +210,15 @@ class AdpcmCodec(Codec):
         samples = np.asarray(samples)
         if samples.ndim != 1:
             raise CodecError(f"AdpcmCodec is mono; got shape {samples.shape}")
-        samples = samples.astype(np.int16)
+        values = samples.astype(np.int16).tolist()
         blocks = []
-        state = [0, 0]
-        for begin in range(0, len(samples), self.block_samples):
-            chunk = samples[begin:begin + self.block_samples]
-            predictor, step_index = state
-            # encode_block mutates a copy of the running state; carry it on.
-            running = [predictor, step_index]
-            nibbles = bytearray()
-            pair = []
-            for sample in chunk:
-                pair.append(_encode_sample(int(sample), running))
-                if len(pair) == 2:
-                    nibbles.append(pair[0] | (pair[1] << 4))
-                    pair = []
-            if pair:
-                nibbles.append(pair[0])
-            blocks.append(AdpcmBlock(predictor, step_index, len(chunk), bytes(nibbles)))
-            state = running
+        predictor = step_index = 0
+        for begin in range(0, len(values), self.block_samples):
+            chunk = values[begin:begin + self.block_samples]
+            data, next_predictor, next_step = _encode_run(
+                chunk, predictor, step_index)
+            blocks.append(AdpcmBlock(predictor, step_index, len(chunk), data))
+            predictor, step_index = next_predictor, next_step
         return blocks
 
     def encode(self, payload: np.ndarray) -> bytes:

@@ -1,8 +1,11 @@
 """Bit-stream reader and writer.
 
-Entropy coders (Huffman, ADPCM nibble packing) need sub-byte I/O. Bits
-are written most-significant first within each byte, matching the JPEG
-and MPEG conventions.
+General-purpose sub-byte I/O, one bit or field at a time. Bits are
+written most-significant first within each byte, matching the JPEG and
+MPEG conventions. No codec in this package uses it: Huffman packs and
+peeks bits through Python ints (:mod:`repro.codecs.huffman`) and ADPCM
+packs nibble pairs with numpy (:mod:`repro.codecs.adpcm`), because a
+method call per bit would dominate their cost.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ The transform substrate shared by the JPEG-like and MPEG-like codecs:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.fft import dctn, idctn
 
@@ -70,6 +72,20 @@ def scale_quant_table(table: np.ndarray, quality: int) -> np.ndarray:
         scale = 200 - 2 * quality
     scaled = np.floor((table * scale + 50) / 100)
     return np.clip(scaled, 1, 255).astype(np.float32)
+
+
+@lru_cache(maxsize=128)
+def quant_tables(quality: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(luma, chroma)`` tables for ``quality``, computed once.
+
+    Every frame of a stream shares its quality, so encoders and decoders
+    look the pair up here instead of rescaling both tables per frame.
+    """
+    tables = (scale_quant_table(LUMA_QUANT, quality),
+              scale_quant_table(CHROMA_QUANT, quality))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def to_blocks(plane: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:

@@ -41,7 +41,7 @@ from repro.codecs.color import (
     yuv_to_rgb,
 )
 from repro.codecs.huffman import huffman_compress, huffman_decompress
-from repro.codecs.varint import read_svarint, write_svarint
+from repro.codecs.varint import read_uvarint, write_uvarint
 from repro.errors import CodecError
 
 _MAGIC = b"RJ1\x00"
@@ -52,55 +52,97 @@ _SCHEMES = sorted(SUBSAMPLING)
 #: 62, so 255 is unambiguous where a run byte is expected.
 _EOB = 255
 
+#: Natural (row-major) index within a block of each zigzag position.
+_NATURAL = tuple(dct.ZIGZAG.tolist())
+
 
 def encode_plane_coefficients(quantized: np.ndarray) -> bytes:
     """Serialize quantized ``(n, 8, 8)`` blocks as a symbol byte stream.
 
     Per block: signed varint of the DC delta (vs the previous block's
     DC), then (run, level) pairs over the 63 AC coefficients in zigzag
-    order, terminated by an end-of-block byte.
+    order, terminated by an end-of-block byte. Quantized levels almost
+    always zigzag-fold below 128, so the one-byte varint is written
+    inline and only larger values go through :func:`write_uvarint`.
     """
     vectors = dct.zigzag_scan(quantized)
     block_count = vectors.shape[0]
-    # Vectorize the sparse structure once: DC deltas and the global
+    # Vectorize the sparse structure once: DC values and the global
     # (block, position, value) triplets of nonzero AC coefficients.
-    dc = vectors[:, 0].astype(np.int64)
-    dc_delta = np.diff(dc, prepend=0)
-    block_index, position = np.nonzero(vectors[:, 1:])
-    values = vectors[:, 1:][block_index, position]
+    dc = vectors[:, 0].tolist()
+    ac = vectors[:, 1:]
+    block_index, position = np.nonzero(ac)
+    values = ac[block_index, position].tolist()
     block_index = block_index.tolist()
     position = position.tolist()
-    values = values.tolist()
-    dc_delta = dc_delta.tolist()
 
     out = bytearray()
+    append = out.append
     pointer = 0
     total = len(block_index)
+    previous_dc = 0
     for block in range(block_count):
-        write_svarint(out, dc_delta[block])
+        value = dc[block] - previous_dc
+        previous_dc = dc[block]
+        folded = value << 1 if value >= 0 else ((-value) << 1) - 1
+        if folded < 0x80:
+            append(folded)
+        else:
+            write_uvarint(out, folded)
         previous = -1
         while pointer < total and block_index[pointer] == block:
             pos = position[pointer]
-            out.append(pos - previous - 1)
+            append(pos - previous - 1)
             previous = pos
-            write_svarint(out, values[pointer])
+            value = values[pointer]
+            folded = value << 1 if value >= 0 else ((-value) << 1) - 1
+            if folded < 0x80:
+                append(folded)
+            else:
+                write_uvarint(out, folded)
             pointer += 1
-        out.append(_EOB)
+        append(_EOB)
     return bytes(out)
 
 
 def decode_plane_coefficients(data: bytes, block_count: int) -> np.ndarray:
-    """Invert :func:`encode_plane_coefficients`."""
-    vectors = np.zeros((block_count, 64), dtype=np.int16)
+    """Invert :func:`encode_plane_coefficients`.
+
+    Every block takes at least two bytes (its DC varint and the
+    end-of-block marker), so a ``block_count`` the stream cannot hold —
+    a hostile frame header claiming a huge plane — raises
+    :class:`CodecError` before anything is allocated. Coefficients are
+    gathered as (flat index, level) lists, in natural block order, and
+    written into the result with one numpy assignment.
+    """
+    if block_count * 2 > len(data):
+        raise CodecError(
+            f"coefficient stream of {len(data)} bytes cannot hold "
+            f"{block_count} blocks"
+        )
+    natural = _NATURAL
+    indices: list[int] = []
+    levels: list[int] = []
+    add_index = indices.append
+    add_level = levels.append
+    size = len(data)
     offset = 0
     previous_dc = 0
-    for index in range(block_count):
-        delta, offset = read_svarint(data, offset)
-        previous_dc += delta
-        vectors[index, 0] = previous_dc
+    for base in range(0, block_count * 64, 64):
+        # The DC delta: a varint, inline for its one-byte form.
+        if offset >= size:
+            raise CodecError("varint stream exhausted")
+        folded = data[offset]
+        if folded < 0x80:
+            offset += 1
+        else:
+            folded, offset = read_uvarint(data, offset)
+        previous_dc += -((folded + 1) >> 1) if folded & 1 else folded >> 1
+        add_index(base)
+        add_level(previous_dc)
         position = 0
         while True:
-            if offset >= len(data):
+            if offset >= size:
                 raise CodecError("coefficient stream exhausted mid-block")
             run = data[offset]
             offset += 1
@@ -109,29 +151,54 @@ def decode_plane_coefficients(data: bytes, block_count: int) -> np.ndarray:
             position += run + 1
             if position > 63:
                 raise CodecError(f"AC position {position} out of range")
-            level, offset = read_svarint(data, offset)
-            vectors[index, position] = level
-    return dct.zigzag_unscan(vectors)
+            if offset >= size:
+                raise CodecError("varint stream exhausted")
+            folded = data[offset]
+            if folded < 0x80:
+                offset += 1
+            else:
+                folded, offset = read_uvarint(data, offset)
+            add_index(base + natural[position])
+            add_level(-((folded + 1) >> 1) if folded & 1 else folded >> 1)
+    flat = np.zeros(block_count * 64, dtype=np.int16)
+    try:
+        flat[indices] = np.array(levels, dtype=np.int16)
+    except OverflowError:
+        raise CodecError("coefficient level outside the int16 range") from None
+    return flat.reshape(-1, dct.BLOCK, dct.BLOCK)
 
 
-def _encode_plane(plane: np.ndarray, table: np.ndarray) -> bytes:
-    blocks, shape = dct.to_blocks(plane - 128.0)
-    coefficients = dct.forward_dct(blocks)
-    quantized = dct.quantize(coefficients, table)
-    symbols = encode_plane_coefficients(quantized)
-    return huffman_compress(symbols)
+def _forward(planes, tables) -> list[np.ndarray]:
+    """Level-shift, DCT and quantize several planes with one DCT call."""
+    stacks = [dct.to_blocks(plane - 128.0)[0] for plane in planes]
+    coefficients = dct.forward_dct(np.concatenate(stacks))
+    quantized = []
+    start = 0
+    for stack, table in zip(stacks, tables):
+        end = start + len(stack)
+        quantized.append(dct.quantize(coefficients[start:end], table))
+        start = end
+    return quantized
 
 
-def _decode_plane(data: bytes, shape: tuple[int, int],
-                  table: np.ndarray) -> np.ndarray:
+def _inverse(quantized, tables, shapes) -> list[np.ndarray]:
+    """Dequantize and inverse-DCT several planes with one DCT call."""
+    blocks = dct.inverse_dct(np.concatenate([
+        dct.dequantize(stack, table)
+        for stack, table in zip(quantized, tables)
+    ]))
+    planes = []
+    start = 0
+    for stack, shape in zip(quantized, shapes):
+        end = start + len(stack)
+        planes.append(dct.from_blocks(blocks[start:end], shape) + 128.0)
+        start = end
+    return planes
+
+
+def _block_count(shape: tuple[int, int]) -> int:
     h, w = shape
-    rows = (h + dct.BLOCK - 1) // dct.BLOCK
-    cols = (w + dct.BLOCK - 1) // dct.BLOCK
-    symbols = huffman_decompress(data)
-    quantized = decode_plane_coefficients(symbols, rows * cols)
-    coefficients = dct.dequantize(quantized, table)
-    blocks = dct.inverse_dct(coefficients)
-    return dct.from_blocks(blocks, shape) + 128.0
+    return ((h + dct.BLOCK - 1) // dct.BLOCK) * ((w + dct.BLOCK - 1) // dct.BLOCK)
 
 
 class JpegLikeCodec(Codec):
@@ -153,8 +220,7 @@ class JpegLikeCodec(Codec):
             raise CodecError(f"unknown subsampling {subsampling!r}")
         self.quality = quality
         self.subsampling = subsampling
-        self._luma_table = dct.scale_quant_table(dct.LUMA_QUANT, quality)
-        self._chroma_table = dct.scale_quant_table(dct.CHROMA_QUANT, quality)
+        self._tables = dct.quant_tables(quality)
 
     @property
     def is_lossy(self) -> bool:
@@ -162,14 +228,13 @@ class JpegLikeCodec(Codec):
 
     def encode(self, payload: np.ndarray) -> bytes:
         """Encode one ``(h, w, 3)`` uint8 RGB frame."""
-        y, u, v = subsample_yuv(*rgb_to_yuv(payload), self.subsampling)
+        planes = subsample_yuv(*rgb_to_yuv(payload), self.subsampling)
         h, w = payload.shape[:2]
         scheme_code = _SCHEMES.index(self.subsampling)
         parts = [_HEADER.pack(_MAGIC, w, h, self.quality, scheme_code)]
-        for plane, table in ((y, self._luma_table),
-                             (u, self._chroma_table),
-                             (v, self._chroma_table)):
-            blob = _encode_plane(plane, table)
+        luma, chroma = self._tables
+        for quantized in _forward(planes, (luma, chroma, chroma)):
+            blob = huffman_compress(encode_plane_coefficients(quantized))
             parts.append(struct.pack(">I", len(blob)))
             parts.append(blob)
         return b"".join(parts)
@@ -185,20 +250,24 @@ class JpegLikeCodec(Codec):
             raise CodecError(f"bad subsampling code {scheme_code}")
         scheme = _SCHEMES[scheme_code]
         fy, fx = SUBSAMPLING[scheme]
-        luma_table = dct.scale_quant_table(dct.LUMA_QUANT, quality)
-        chroma_table = dct.scale_quant_table(dct.CHROMA_QUANT, quality)
+        luma, chroma = dct.quant_tables(quality)
         chroma_shape = ((h + fy - 1) // fy, (w + fx - 1) // fx)
+        shapes = ((h, w), chroma_shape, chroma_shape)
         offset = _HEADER.size
-        planes = []
-        for shape, table in (((h, w), luma_table),
-                             (chroma_shape, chroma_table),
-                             (chroma_shape, chroma_table)):
+        quantized = []
+        for shape in shapes:
+            if offset + 4 > len(data):
+                raise CodecError("frame truncated before a plane")
             (length,) = struct.unpack_from(">I", data, offset)
             offset += 4
-            planes.append(_decode_plane(data[offset:offset + length], shape, table))
+            if offset + length > len(data):
+                raise CodecError("frame truncated inside a plane")
+            symbols = huffman_decompress(data[offset:offset + length])
+            quantized.append(
+                decode_plane_coefficients(symbols, _block_count(shape)))
             offset += length
-        y, u, v = upsample_yuv(*planes, scheme)
-        return yuv_to_rgb(y, u, v)
+        planes = _inverse(quantized, (luma, chroma, chroma), shapes)
+        return yuv_to_rgb(*upsample_yuv(*planes, scheme))
 
     def bits_per_pixel(self, frame: np.ndarray) -> float:
         """Measured encoded bits per pixel for ``frame``."""

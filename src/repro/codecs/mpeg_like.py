@@ -105,7 +105,6 @@ class MpegLikeCodec:
         self.gop_pattern = gop_pattern
         self.subsampling = subsampling
         self._intra = JpegLikeCodec(quality=quality, subsampling=subsampling)
-        self._residual_table = dct.scale_quant_table(dct.LUMA_QUANT, quality)
 
     # -- residual coding -----------------------------------------------------------
     #
@@ -118,8 +117,8 @@ class MpegLikeCodec:
         return subsample_yuv(*rgb_to_yuv(frame), self.subsampling)
 
     def _plane_tables(self):
-        chroma = dct.scale_quant_table(dct.CHROMA_QUANT, self.quality)
-        return (self._residual_table, chroma, chroma)
+        luma, chroma = dct.quant_tables(self.quality)
+        return (luma, chroma, chroma)
 
     def _encode_predicted(self, frame: np.ndarray,
                           prediction: np.ndarray) -> bytes:
@@ -140,11 +139,12 @@ class MpegLikeCodec:
     def _decode_predicted(self, data: bytes,
                           prediction: np.ndarray) -> np.ndarray:
         """Invert :meth:`_encode_predicted` given the same prediction."""
+        if len(data) < _RESIDUAL_HEADER.size:
+            raise CodecError("residual frame too short for header")
         magic, w, h, quality = _RESIDUAL_HEADER.unpack_from(data)
         if magic != _RESIDUAL_MAGIC:
             raise CodecError(f"bad residual magic {magic!r}")
-        luma_table = dct.scale_quant_table(dct.LUMA_QUANT, quality)
-        chroma_table = dct.scale_quant_table(dct.CHROMA_QUANT, quality)
+        luma_table, chroma_table = dct.quant_tables(quality)
         predicted_planes = self._planes(prediction)
         offset = _RESIDUAL_HEADER.size
         planes = []
@@ -153,6 +153,8 @@ class MpegLikeCodec:
             ph, pw = predicted.shape
             rows = (ph + dct.BLOCK - 1) // dct.BLOCK
             cols = (pw + dct.BLOCK - 1) // dct.BLOCK
+            if offset + 4 > len(data):
+                raise CodecError("residual frame truncated before a plane")
             (length,) = struct.unpack_from(">I", data, offset)
             offset += 4
             symbols = huffman_decompress(data[offset:offset + length])

@@ -8,22 +8,21 @@ side information, and never worse than 2x expansion.
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import CodecError
+
+#: One run: a byte followed by up to 254 repeats of itself.
+_RUN = re.compile(rb"(.)\1{0,254}", re.DOTALL)
 
 
 def rle_encode(data: bytes) -> bytes:
-    """Encode ``data`` as ``(count, byte)`` pairs."""
+    """Encode ``data`` as ``(count, byte)`` pairs, one match per run."""
     out = bytearray()
-    i = 0
-    n = len(data)
-    while i < n:
-        byte = data[i]
-        run = 1
-        while run < 255 and i + run < n and data[i + run] == byte:
-            run += 1
-        out.append(run)
-        out.append(byte)
-        i += run
+    for run in _RUN.finditer(data):
+        start, end = run.span()
+        out.append(end - start)
+        out.append(data[start])
     return bytes(out)
 
 

@@ -36,6 +36,13 @@ _HEADER = struct.Struct(">4sHHB")
 _MAGIC = b"RS1\x00"
 
 
+def _layer_length(data: bytes, offset: int) -> int:
+    """The u32 length prefix at ``offset``; :class:`CodecError` if cut off."""
+    if offset + 4 > len(data):
+        raise CodecError("scalable frame truncated before a layer")
+    return struct.unpack_from(">I", data, offset)[0]
+
+
 def _downsample2(frame: np.ndarray) -> np.ndarray:
     """Halve resolution by 2x2 box averaging (pads odd edges)."""
     h, w = frame.shape[:2]
@@ -73,7 +80,7 @@ class ScalableVideoCodec(Codec):
         self.levels = levels
         self.quality = quality
         self._intra = JpegLikeCodec(quality=quality, subsampling="4:2:0")
-        self._residual_table = dct.scale_quant_table(dct.LUMA_QUANT, quality)
+        self._residual_table = dct.quant_tables(quality)[0]
 
     @property
     def is_lossy(self) -> bool:
@@ -127,7 +134,7 @@ class ScalableVideoCodec(Codec):
         offset = 0
         channels = []
         for _ in range(3):
-            (length,) = struct.unpack_from(">I", data, offset)
+            length = _layer_length(data, offset)
             offset += 4
             symbols = huffman_decompress(data[offset:offset + length])
             offset += length
@@ -148,6 +155,8 @@ class ScalableVideoCodec(Codec):
         Lower levels return lower-resolution frames and *read fewer
         bytes* — the storage-unit-skipping behaviour the paper describes.
         """
+        if len(data) < _HEADER.size:
+            raise CodecError("scalable frame too short for header")
         magic, w, h, levels = _HEADER.unpack_from(data)
         if magic != _MAGIC:
             raise CodecError(f"bad magic {magic!r}")
@@ -158,14 +167,14 @@ class ScalableVideoCodec(Codec):
 
         shapes = self.layer_shapes((h, w), levels)
         offset = _HEADER.size
-        (length,) = struct.unpack_from(">I", data, offset)
+        length = _layer_length(data, offset)
         offset += 4
         reconstruction = self._intra.decode(
             data[offset:offset + length]
         ).astype(np.float32)
         offset += length
         for current in range(1, level + 1):
-            (length,) = struct.unpack_from(">I", data, offset)
+            length = _layer_length(data, offset)
             offset += 4
             th, tw = shapes[current]
             predicted = _upsample2(reconstruction, th, tw)

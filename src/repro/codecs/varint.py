@@ -1,17 +1,22 @@
 """Variable-length integer coding (LEB128 + zigzag sign folding).
 
 Shared by the JPEG-like and MPEG-like coefficient serializers and the
-MIDI delta-time encoder.
+MIDI delta-time encoder. A varint carries at most ten 7-bit groups
+(:data:`MAX_UVARINT`); writers refuse anything a reader would reject,
+so every value written reads back unchanged.
 """
 
 from __future__ import annotations
 
 from repro.errors import CodecError
 
+#: Largest unsigned value :func:`read_uvarint` accepts (ten 7-bit groups).
+MAX_UVARINT = (1 << 70) - 1
+
 
 def zigzag_int(value: int) -> int:
     """Fold a signed int to unsigned: 0,-1,1,-2,2 -> 0,1,2,3,4."""
-    return (value << 1) ^ (value >> 63) if value >= 0 else ((-value) << 1) - 1
+    return value << 1 if value >= 0 else ((-value) << 1) - 1
 
 
 def unzigzag_int(value: int) -> int:
@@ -23,6 +28,8 @@ def write_uvarint(out: bytearray, value: int) -> None:
     """Append an unsigned LEB128 varint to ``out``."""
     if value < 0:
         raise CodecError(f"uvarint cannot encode negative value {value}")
+    if value > MAX_UVARINT:
+        raise CodecError(f"uvarint cannot encode {value}: more than 70 bits")
     while True:
         byte = value & 0x7F
         value >>= 7
