@@ -37,7 +37,11 @@ runs produce byte-identical dumps and alert timelines.
 from __future__ import annotations
 
 import json
+import sqlite3
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import wraps
+from operator import itemgetter
 from typing import Any, Callable
 
 from repro.core.rational import Rational, as_rational
@@ -104,9 +108,71 @@ CREATE INDEX IF NOT EXISTS idx_scrapes_time
     ON scrapes (t_approx);
 """
 
+#: What a damaged database file raises, from SQLite or from decoding
+#: its rows (bad UTF-8 or JSON, a non-integer timestamp column, a zero
+#: denominator). The store re-raises each as ObservabilityError.
+_DAMAGED = (sqlite3.DatabaseError, ValueError, TypeError, ArithmeticError)
+
+#: Where each readable field sits in a live-mirror row; a histogram
+#: row holds its bucket counts as a list, ready for the windowed merge.
+_ROW_INDEX = {"value": 0, "count": 1, "total": 2, "buckets": 3}
+
 
 def _margin(value: float) -> float:
     return _EPS_REL * (1.0 + abs(value))
+
+
+def _reads_file(method):
+    """Re-raise what a damaged file throws from a read as
+    ObservabilityError, so a hostile file yields only typed errors."""
+
+    @wraps(method)
+    def guarded(self, *args, **kwargs):
+        try:
+            return method(self, *args, **kwargs)
+        except _DAMAGED as exc:
+            raise self._damaged(exc) from exc
+
+    return guarded
+
+
+class _Series:
+    """One (source, metric, labels) series in the live mirror.
+
+    ``times`` and ``rows`` hold the series' samples in its source's
+    current epoch, oldest first; times never decrease within an epoch,
+    so a window boundary is one bisect. ``base`` is the series' last
+    row before the epoch began: the baseline of a window that starts
+    before the epoch's first scrape (None: count from zero).
+    """
+
+    __slots__ = ("source", "name", "labels", "times", "rows", "base",
+                 "counts")
+
+    def __init__(self, source: str, name: str, labels: str):
+        self.source = source
+        self.name = name
+        self.labels = labels
+        self.times: list[Rational] = []
+        self.rows: list[tuple] = []
+        self.base: tuple | None = None
+        # the last histogram counts seen and their JSON encoding
+        self.counts: tuple[list, str] | None = None
+
+    def trim(self, cutoff: Rational) -> None:
+        """Drop rows older than the newest one at or before ``cutoff``:
+        that row is the baseline of the longest window still answered."""
+        times = self.times
+        while len(times) > 1 and times[1] <= cutoff:
+            del times[0]
+            del self.rows[0]
+
+
+def _answers_to(name: str) -> list[str]:
+    """Every query name that stored metric ``name`` answers to: itself
+    and each dotted suffix (``shard0.engine.play.underruns`` answers
+    to ``engine.play.underruns``, ``play.underruns``, ...)."""
+    return [name] + [name[i + 1:] for i, ch in enumerate(name) if ch == "."]
 
 
 class TelemetryStore:
@@ -118,6 +184,14 @@ class TelemetryStore:
     fixed boundaries live once per metric in ``hist_bounds``).
     Non-numeric gauge readings are kept as NULL — they have no place
     on a time axis but their presence is still dumped.
+
+    Every scrape is written to SQLite as it happens. Alongside, a live
+    mirror keeps each series' rows of its source's current *epoch* —
+    one serve, one clock (:meth:`open_epoch`) — trimmed to the kept
+    horizon plus one row. Reads at the newest scrape time within that
+    horizon are answered from the mirror in O(series × log window);
+    time-travel reads, longer windows and sources whose rows predate
+    this process (a reopened file) take the SQL path.
     """
 
     def __init__(self, path: str = ":memory:"):
@@ -125,24 +199,72 @@ class TelemetryStore:
         # import, so a top-level import here would be a cycle.
         from repro.query.sqlutil import open_tuned, rational_columns
 
+        self._path = path
         self._rational_columns = rational_columns
-        self._conn = open_tuned(path)
-        self._conn.executescript(_SCHEMA)
-        self._scrape_seq = 0
-        self._alert_seq = 0
-        # Row-fetch memo, invalidated by the next scrape: one alert
-        # pass queries the same (metric, at) twice — once per window.
-        self._series_cache: dict[tuple, dict[tuple, list[tuple]]] = {}
-        # Write-through mirror of the samples table, in insert order:
-        # {(source, metric, labels): [(when, value, count, total,
-        # buckets), ...]}. Alert evaluation reads at the newest scrape
-        # time every quarter-second of simulated time — serving those
-        # reads from memory keeps the scrape out of SQLite entirely;
-        # time-travel reads (at < newest) still go through SQL.
-        self._live: dict[tuple, list[tuple]] = {}
-        self._latest: Rational | None = None
+        self._conn = open_tuned(path, _SCHEMA, ObservabilityError)
+        self._closed = False
+        # the live mirror: canonical (source, metric, labels JSON) keys,
+        # the same series under each snapshot's label items, and the
+        # series each (query name, source or None) read sums
+        self._live: dict[tuple, _Series] = {}
+        self._aliases: dict[tuple, _Series] = {}
+        self._index: dict[tuple, list[_Series]] = {}
+        # per source: how much trailing time the mirror keeps (None:
+        # the whole epoch)
+        self._keep: dict[str, Rational | None] = {}
+        try:
+            self._resume()
+        except _DAMAGED as exc:
+            self._conn.close()
+            raise self._damaged(exc) from exc
+
+    def _resume(self) -> None:
+        """Pick up the sequences, the newest time and the histogram
+        bounds of a reopened file (an empty store starts from zero)."""
+        newest = self._conn.execute(
+            "SELECT scrape_id, t_num, t_den FROM scrapes"
+            " ORDER BY scrape_id DESC LIMIT 1"
+        ).fetchone()
+        self._scrape_seq = 0 if newest is None else int(newest[0])
+        self._latest: Rational | None = (
+            None if newest is None else Rational(newest[1], newest[2]))
+        self._alert_seq = int(self._conn.execute(
+            "SELECT COALESCE(MAX(seq), 0) FROM alert_log").fetchone()[0])
+        self._bounds: dict[str, tuple] = {
+            metric: tuple(json.loads(bounds)) for metric, bounds in
+            self._conn.execute("SELECT metric, bounds FROM hist_bounds")
+        }
+        # sources whose rows live only in the file: reads touching them
+        # take SQL until an epoch restarts their clock
+        self._cold: set[str] = {row[0] for row in self._conn.execute(
+            "SELECT DISTINCT source FROM scrapes")}
+
+    def _damaged(self, exc: Exception) -> ObservabilityError:
+        return ObservabilityError(
+            f"telemetry store {self._path!r} is damaged or not a "
+            f"telemetry database: {type(exc).__name__}: {exc}"
+        )
 
     # -- writes ---------------------------------------------------------------
+
+    def open_epoch(self, source: str, keep=None) -> None:
+        """Restart ``source``'s clock: its next scrapes form a new epoch.
+
+        A serve builds a fresh event loop at t=0, so one serve is one
+        epoch. Each series' last row so far becomes the new epoch's
+        baseline, so a window reaching back before the epoch's first
+        scrape counts from the end of the previous serve — never from
+        rows of an earlier clock. ``keep`` bounds the mirror to that
+        much trailing time plus one row (None keeps the whole epoch);
+        reads with longer windows take the SQL path.
+        """
+        for series in self._live.values():
+            if series.source == source and series.rows:
+                series.base = series.rows[-1]
+                series.times = []
+                series.rows = []
+        self._keep[source] = None if keep is None else as_rational(keep)
+        self._cold.discard(source)
 
     def record_scrape(self, source: str, at, snapshot: dict[str, Any]) -> int:
         """Store one full registry snapshot taken at simulated ``at``.
@@ -151,66 +273,111 @@ class TelemetryStore:
         :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` shape (a
         scoped view's restricted snapshot works identically).
         """
-        self._scrape_seq += 1
-        self._series_cache.clear()
-        scrape_id = self._scrape_seq
         when = as_rational(at)
-        self._latest = when
-        num, den, approx = self._rational_columns(at)
-        self._conn.execute(
-            "INSERT INTO scrapes (scrape_id, source, t_num, t_den, t_approx)"
-            " VALUES (?, ?, ?, ?, ?)",
-            (scrape_id, source, num, den, approx),
-        )
+        scrape_id = self._scrape_seq + 1
         rows = []
+        appends = []
+        bounds = []
         for metric in sorted(snapshot):
             body = snapshot[metric]
             kind = body.get("type", "metric")
-            for series in body.get("series", ()):
-                labels = json.dumps(series.get("labels", {}), sort_keys=True)
-                value = series.get("value")
+            for entry in body.get("series", ()):
+                series = self._series_for(source, metric,
+                                          entry.get("labels", {}))
+                value = entry.get("value")
                 if kind == "histogram" and isinstance(value, dict):
-                    self._conn.execute(
-                        "INSERT OR IGNORE INTO hist_bounds (metric, bounds)"
-                        " VALUES (?, ?)",
-                        (metric, json.dumps(value["buckets"])),
-                    )
-                    rows.append((
-                        scrape_id, metric, labels, kind, None,
-                        value["count"], value["sum"],
-                        json.dumps(value["counts"]),
-                    ))
+                    if metric not in self._bounds:
+                        self._bounds[metric] = tuple(value["buckets"])
+                        bounds.append((metric, json.dumps(value["buckets"])))
+                    counts = value["counts"]
+                    seen = series.counts
+                    if seen is None or seen[0] != counts:
+                        seen = series.counts = (list(counts),
+                                                json.dumps(counts))
+                    row = (None, value["count"], value["sum"], seen[0])
+                    encoded = seen[1]
                 else:
                     numeric = value if isinstance(value, (int, float)) \
                         and not isinstance(value, bool) else None
-                    rows.append((
-                        scrape_id, metric, labels, kind, numeric,
-                        None, None, None,
-                    ))
-        for _, metric, labels, _, numeric, count, total, buckets in rows:
-            self._live.setdefault((source, metric, labels), []).append(
-                (when, numeric, count, total, buckets)
+                    row = (numeric, None, None, None)
+                    encoded = None
+                rows.append((scrape_id, metric, series.labels, kind,
+                             *row[:3], encoded))
+                appends.append((series, row))
+        num, den, approx = self._rational_columns(when)
+        try:
+            self._conn.execute(
+                "INSERT INTO scrapes (scrape_id, source, t_num, t_den,"
+                " t_approx) VALUES (?, ?, ?, ?, ?)",
+                (scrape_id, source, num, den, approx),
             )
-        self._conn.executemany(
-            "INSERT INTO samples (scrape_id, metric, labels, kind, value,"
-            " count, total, buckets) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            rows,
-        )
+            if bounds:
+                self._conn.executemany(
+                    "INSERT OR IGNORE INTO hist_bounds (metric, bounds)"
+                    " VALUES (?, ?)", bounds,
+                )
+            self._conn.executemany(
+                "INSERT INTO samples (scrape_id, metric, labels, kind,"
+                " value, count, total, buckets)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                rows,
+            )
+        except sqlite3.DatabaseError as exc:
+            raise self._damaged(exc) from exc
+        self._scrape_seq = scrape_id
+        self._latest = when
+        keep = self._keep.get(source)
+        cutoff = None if keep is None else when - keep
+        for series, row in appends:
+            series.times.append(when)
+            series.rows.append(row)
+            if cutoff is not None:
+                series.trim(cutoff)
         return scrape_id
+
+    def _series_for(self, source: str, metric: str,
+                    labels: dict[str, Any]) -> _Series:
+        """The mirror series for one snapshot entry. A new series is
+        indexed under every query name it answers to, and its labels are
+        JSON-encoded once, here."""
+        alias = (source, metric, tuple(labels.items()))
+        try:
+            series = self._aliases.get(alias)
+        except TypeError:
+            raise ObservabilityError(
+                f"labels of {metric!r} must have hashable values, "
+                f"got {labels!r}"
+            ) from None
+        if series is not None:
+            return series
+        text = json.dumps(labels, sort_keys=True)
+        key = (source, metric, text)
+        series = self._live.get(key)
+        if series is None:
+            series = self._live[key] = _Series(source, metric, text)
+            for name in _answers_to(metric):
+                self._index.setdefault((name, source), []).append(series)
+                self._index.setdefault((name, None), []).append(series)
+        self._aliases[alias] = series
+        return series
 
     def record_alert(self, alert: str, source: str, state: str, at,
                      burn_short: float, burn_long: float) -> int:
         """Append one alert transition to the timeline."""
-        self._alert_seq += 1
+        seq = self._alert_seq + 1
         num, den, approx = self._rational_columns(at)
-        self._conn.execute(
-            "INSERT INTO alert_log (seq, alert, source, state, t_num,"
-            " t_den, t_approx, burn_short, burn_long)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (self._alert_seq, alert, source, state, num, den, approx,
-             burn_short, burn_long),
-        )
-        return self._alert_seq
+        try:
+            self._conn.execute(
+                "INSERT INTO alert_log (seq, alert, source, state, t_num,"
+                " t_den, t_approx, burn_short, burn_long)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                (seq, alert, source, state, num, den, approx,
+                 burn_short, burn_long),
+            )
+        except sqlite3.DatabaseError as exc:
+            raise self._damaged(exc) from exc
+        self._alert_seq = seq
+        return seq
 
     # -- reads ----------------------------------------------------------------
 
@@ -222,16 +389,19 @@ class TelemetryStore:
         """The newest scrape's simulated time, or None when empty."""
         return self._latest
 
+    @_reads_file
     def sources(self) -> list[str]:
         return [r[0] for r in self._conn.execute(
             "SELECT DISTINCT source FROM scrapes ORDER BY source"
         )]
 
+    @_reads_file
     def metrics(self) -> list[str]:
         return [r[0] for r in self._conn.execute(
             "SELECT DISTINCT metric FROM samples ORDER BY metric"
         )]
 
+    @_reads_file
     def metric_kinds(self) -> dict[str, str]:
         """``{metric: kind}`` for every stored metric."""
         return {r[0]: r[1] for r in self._conn.execute(
@@ -241,75 +411,101 @@ class TelemetryStore:
     def _matches(self, metric: str, name: str) -> bool:
         """Whether stored ``name`` answers to query ``metric``: exact,
         or a scoped ``<prefix>.<metric>`` (fleet shards prefix every
-        metric with their shard name)."""
+        metric with their shard name). Agrees with :func:`_answers_to`."""
         return name == metric or name.endswith("." + metric)
 
-    def _series_rows(self, metric: str, at, source: str | None,
-                     columns: str) -> dict[tuple, list[tuple]]:
-        """Per-(source, metric, labels) sample rows up to exact ``at``.
+    @_reads_file
+    def _sql_series(self, metric: str, at, source: str | None,
+                    field: str) -> dict[tuple, list[tuple]]:
+        """Per-(source, metric, labels) ``(time, field)`` rows from SQL,
+        in insert order; with ``at``, only rows up to exact ``at``.
 
         The SQL ``t_approx`` bound is the conservative REAL prefilter;
         candidates are re-judged against the exact rational timestamp,
-        so float rounding can only widen the scan.
+        so float rounding can only widen the scan. Bucket counts come
+        back decoded.
         """
-        cache_key = (metric, at, source, columns)
-        cached = self._series_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        if self._latest is not None and at >= self._latest:
-            # every stored row qualifies: answer from the live mirror
-            index = {"m.value": 1, "m.count": 2, "m.total": 3,
-                     "m.buckets": 4}[columns]
-            grouped = {
-                key: [(row[0], row[index]) for row in samples]
-                for key, samples in self._live.items()
-                if self._matches(metric, key[1])
-                and (source is None or key[0] == source)
-            }
-            self._series_cache[cache_key] = grouped
-            return grouped
-        hi = float(at)
         # The LIKE arm is a coarse SQL prefilter (its ``_`` wildcard
         # over-matches); _matches() below re-judges exactly.
-        clauses = ["s.t_approx <= ?", "(m.metric = ? OR m.metric LIKE ?)"]
-        params: list[Any] = [hi + _margin(hi), metric, "%." + metric]
+        clauses = ["(m.metric = ? OR m.metric LIKE ?)"]
+        params: list[Any] = [metric, "%." + metric]
+        if at is not None:
+            hi = float(at)
+            clauses.append("s.t_approx <= ?")
+            params.append(hi + _margin(hi))
         if source is not None:
             clauses.append("s.source = ?")
             params.append(source)
         query = (
             f"SELECT s.source, m.metric, m.labels, s.t_num, s.t_den,"
-            f" {columns} FROM samples m"
+            f" m.{field} FROM samples m"
             f" JOIN scrapes s ON s.scrape_id = m.scrape_id"
             f" WHERE {' AND '.join(clauses)}"
-            f" ORDER BY m.scrape_id"
+            f" ORDER BY m.scrape_id, m.rowid"
         )
         grouped: dict[tuple, list[tuple]] = {}
         for row in self._conn.execute(query, params):
             if not self._matches(metric, row[1]):
                 continue
             when = Rational(row[3], row[4])
-            if when > at:  # prefilter false positive
+            if at is not None and when > at:  # prefilter false positive
                 continue
+            value = row[5]
+            if field == "buckets" and value is not None:
+                value = json.loads(value)
             grouped.setdefault((row[0], row[1], row[2]), []).append(
-                (when, *row[5:])
+                (when, value)
             )
-        self._series_cache[cache_key] = grouped
         return grouped
 
-    @staticmethod
-    def _windowed(samples: list[tuple], start) -> tuple | None:
-        """``(last-at-or-before-start, last)`` sample values, or None
-        when the series has no samples yet. A series younger than the
-        window start contributes from zero."""
-        if not samples:
+    def _live_series(self, metric: str, at, window,
+                     source: str | None) -> list[_Series] | None:
+        """The mirror series answering a read, or None when the read
+        needs SQL: ``at`` before the newest scrape, a window longer than
+        a source's kept horizon, or a source whose rows predate this
+        process."""
+        if self._latest is None or at < self._latest:
             return None
-        baseline = None
-        for row in samples:
-            if row[0] <= start:
-                baseline = row
-            else:
-                break
-        return baseline, samples[-1]
+        if source is None:
+            if self._cold:
+                return None
+            keeps = list(self._keep.values())
+        else:
+            if source in self._cold:
+                return None
+            keeps = [self._keep.get(source)]
+        for keep in keeps:
+            if keep is not None and window > keep:
+                return None
+        return self._index.get((metric, source), [])
+
+    def _brackets(self, metric: str, at, window, source: str | None,
+                  field: str) -> list[tuple]:
+        """``(name, baseline, last)`` readings of ``field`` for every
+        matching series with samples: ``last`` is its newest reading up
+        to ``at``, ``baseline`` its last reading at or before the window
+        start (None: the series counts from zero)."""
+        start = at - window
+        live = self._live_series(metric, at, window, source)
+        out = []
+        if live is not None:
+            index = _ROW_INDEX[field]
+            for series in live:
+                rows = series.rows
+                if not rows:
+                    continue
+                i = bisect_right(series.times, start)
+                base = rows[i - 1] if i else series.base
+                out.append((series.name,
+                            None if base is None else base[index],
+                            rows[-1][index]))
+            return out
+        for (_, name, _), samples in self._sql_series(
+                metric, at, source, field).items():
+            i = bisect_right(samples, start, key=itemgetter(0))
+            out.append((name, samples[i - 1][1] if i else None,
+                        samples[-1][1]))
+        return out
 
     def delta(self, metric: str, window, at=None, source: str | None = None,
               field: str = "value") -> float:
@@ -331,20 +527,12 @@ class TelemetryStore:
         window = as_rational(window)
         if window <= 0:
             raise ObservabilityError(f"window must be positive, got {window}")
-        start = at - window
         total = 0.0
-        column = {"value": "m.value", "count": "m.count",
-                  "total": "m.total"}[field]
-        for samples in self._series_rows(metric, at, source, column).values():
-            bracket = self._windowed(samples, start)
-            if bracket is None:
+        for _, before, last in self._brackets(metric, at, window, source,
+                                              field):
+            if last is None:
                 continue
-            baseline, last = bracket
-            if last[1] is None:
-                continue
-            before = baseline[1] if baseline is not None and \
-                baseline[1] is not None else 0.0
-            total += last[1] - before
+            total += last - (0.0 if before is None else before)
         return total
 
     def rate(self, metric: str, window, at=None, source: str | None = None,
@@ -372,27 +560,17 @@ class TelemetryStore:
         window = as_rational(window)
         if window <= 0:
             raise ObservabilityError(f"window must be positive, got {window}")
-        start = at - window
         merged: list[int] = []
         bounds: tuple[float, ...] | None = None
-        for (_, name, _), samples in self._series_rows(
-                metric, at, source, "m.buckets").items():
-            bracket = self._windowed(samples, start)
-            if bracket is None or bracket[1][1] is None:
+        for name, base_counts, last_counts in self._brackets(
+                metric, at, window, source, "buckets"):
+            if last_counts is None:
                 continue
             if bounds is None:
-                row = self._conn.execute(
-                    "SELECT bounds FROM hist_bounds WHERE metric = ?",
-                    (name,),
-                ).fetchone()
-                if row is None:
+                bounds = self._bounds.get(name)
+                if bounds is None:
                     continue
-                bounds = tuple(json.loads(row[0]))
-            baseline, last = bracket
-            last_counts = json.loads(last[1])
-            if baseline is not None and baseline[1] is not None:
-                base_counts = json.loads(baseline[1])
-            else:
+            if base_counts is None:
                 base_counts = [0] * len(last_counts)
             if not merged:
                 merged = [0] * len(last_counts)
@@ -419,14 +597,15 @@ class TelemetryStore:
     def series(self, metric: str, source: str | None = None,
                field: str = "value") -> dict[tuple, list[tuple]]:
         """Every matching series as ``{(source, metric, labels):
-        [(time, value), ...]}`` — the dashboard's raw feed."""
-        at = self.latest_time()
-        if at is None:
-            return {}
-        column = {"value": "m.value", "count": "m.count",
-                  "total": "m.total"}[field]
-        return self._series_rows(metric, at, source, column)
+        [(time, value), ...]}`` — the dashboard's raw feed, read from
+        SQL (the mirror holds only recent rows)."""
+        if field not in ("value", "count", "total"):
+            raise ObservabilityError(
+                f"series field must be value, count or total, got {field!r}"
+            )
+        return self._sql_series(metric, None, source, field)
 
+    @_reads_file
     def alert_rows(self) -> list[dict[str, Any]]:
         """The alert timeline in transition order, exact timestamps."""
         return [
@@ -442,6 +621,7 @@ class TelemetryStore:
             )
         ]
 
+    @_reads_file
     def dump(self) -> str:
         """The whole store as deterministic JSON lines.
 
@@ -482,7 +662,17 @@ class TelemetryStore:
         return "\n".join(lines) + "\n"
 
     def close(self) -> None:
-        self._conn.close()
+        """Commit and close: a file-backed store reopens with its whole
+        history (:meth:`_resume`). Closing twice is a no-op."""
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            self._conn.commit()
+        except sqlite3.DatabaseError as exc:
+            raise self._damaged(exc) from exc
+        finally:
+            self._conn.close()
 
     def __enter__(self) -> "TelemetryStore":
         return self
@@ -767,10 +957,20 @@ class Telemetry:
         if rules is None:
             rules = default_burn_rate_rules(policy)
         self.alerts = AlertManager(rules, self.store)
+        self._horizon = max(
+            (as_rational(rule.long_window) for rule in self.alerts.rules),
+            default=Rational(0),
+        )
         self._overflow_seen: dict[tuple[str, tuple], int] = {}
 
     def attach(self, loop, obs, source: str) -> None:
-        """Schedule the repeating scrape on ``loop`` for ``obs``."""
+        """Schedule the repeating scrape on ``loop`` for ``obs``.
+
+        Every serve builds a fresh loop whose clock starts at zero, so
+        attaching opens a new store epoch for ``source``; the store's
+        mirror keeps the longest rule window plus one scrape.
+        """
+        self.store.open_epoch(source, keep=self._horizon)
         loop.after(self.interval, self._scrape, loop, obs, source)
 
     def _scrape(self, loop, obs, source: str) -> None:

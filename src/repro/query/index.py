@@ -196,8 +196,7 @@ class TemporalIndex(Instrumented):
     def __init__(self, path: str = ":memory:",
                  obs: Observability | None = None):
         self.path = path
-        self._conn = open_tuned(path)
-        self._conn.executescript(_SCHEMA)
+        self._conn = open_tuned(path, _SCHEMA, QueryIndexError)
         self._prov_dirty = False
         self._prov_known: set[str] = set()
         # Keys that ever carried a value with no canonical encoding;

@@ -24,6 +24,7 @@ import sqlite3
 from fractions import Fraction
 
 from repro.core.rational import Rational, as_rational
+from repro.errors import MediaModelError
 
 __all__ = [
     "approx",
@@ -33,20 +34,32 @@ __all__ = [
 ]
 
 
-def open_tuned(path: str = ":memory:") -> sqlite3.Connection:
-    """A connection with the accelerator pragmas applied.
+def open_tuned(path: str = ":memory:", schema: str = "",
+               error: type[MediaModelError] = MediaModelError
+               ) -> sqlite3.Connection:
+    """A connection with the accelerator pragmas applied and ``schema``
+    run.
 
     ``journal_mode=MEMORY`` / ``synchronous=OFF`` / ``temp_store=MEMORY``:
     the store is rebuildable from in-process state, so nothing is paid
-    for durability it does not need.
+    for durability it does not need. A file SQLite cannot open, or one
+    that is not a database (or whose schema is damaged), raises
+    ``error`` — a typed error, never a raw ``sqlite3`` one.
     """
-    conn = sqlite3.connect(path)
+    try:
+        conn = sqlite3.connect(path)
+    except sqlite3.Error as exc:
+        raise error(f"cannot open database {path!r}: {exc}") from exc
     try:
         conn.executescript(
             "PRAGMA journal_mode=MEMORY;"
             "PRAGMA synchronous=OFF;"
-            "PRAGMA temp_store=MEMORY;"
+            "PRAGMA temp_store=MEMORY;" + schema
         )
+    except (sqlite3.DatabaseError, UnicodeDecodeError) as exc:
+        # a damaged schema page can hold undecodable SQL text
+        conn.close()
+        raise error(f"{path!r} is not a usable database: {exc}") from exc
     except Exception:
         conn.close()  # don't leak the handle when a pragma fails
         raise
